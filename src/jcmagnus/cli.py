@@ -44,7 +44,7 @@ from .magnus import (
     shift_rates,
     zeta_resonance_limit,
 )
-from .observables import bs_phase_probe, squeezing_report
+from .observables import SqueezingReport, bs_phase_probe, squeezing_report
 from .propagator import error_report, project_buffer, unitarity_defect
 
 __all__ = ["RunConfig", "SweepRow", "cmd_report", "cmd_sweep", "cmd_verify", "main"]
@@ -65,7 +65,6 @@ class RunConfig:
     g_grid: tuple[float, ...] | None = None
     fock_dim: int = 12
     buffer: int = 2
-    step_tol: float = 1e-10
     quad_steps: int = 1024
     output_path: str = "sweep.csv"
 
@@ -85,8 +84,6 @@ class RunConfig:
                 f"buffer must lie in 0..{self.fock_dim - 2} for fock_dim={self.fock_dim}, "
                 f"got {self.buffer}"
             )
-        if self.step_tol < 1e-12:
-            raise ValueError(f"step_tol must be >= 1e-12, got {self.step_tol}")
         if self.quad_steps < 64 or self.quad_steps % 2:
             raise ValueError(f"quad_steps must be even and >= 64, got {self.quad_steps}")
         for name, grid, check in (
@@ -150,16 +147,18 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def compute_row(cfg: RunConfig, omega0: float, g: float, t: float) -> SweepRow:
-    """One sweep row; the report command prints exactly these values."""
+def _evaluate(
+    cfg: RunConfig, omega0: float, g: float, t: float
+) -> tuple[SweepRow, dict[str, float], SqueezingReport]:
+    """The row, error table and squeezing report at one point, each computed once."""
     params = ModelParams(cfg.omega, omega0, g)
     spec = HilbertSpec(cfg.fock_dim)
-    _, table = error_report(params, spec, t, tol=cfg.step_tol, buffer=cfg.buffer)
+    _, table = error_report(params, spec, t, buffer=cfg.buffer)
     zeta = integrals_closed(params, t).zeta
     # the squeezing scan needs room for the squeezed-vacuum tail
     sq_spec = HilbertSpec(max(cfg.fock_dim, 16))
     sq = squeezing_report(params, sq_spec, t, atom="e")
-    measured, predicted = bs_phase_probe(params, spec, t, tol=cfg.step_tol)
+    measured, predicted = bs_phase_probe(params, spec, t)
     margin = convergence_margin(params, t)
     if margin < 0.3 and table["err_magnus2"] > table["err_magnus1"]:
         print(
@@ -167,7 +166,7 @@ def compute_row(cfg: RunConfig, omega0: float, g: float, t: float) -> SweepRow:
             f"(margin {margin:.3g})",
             file=sys.stderr,
         )
-    return SweepRow(
+    row = SweepRow(
         omega=cfg.omega,
         omega0=omega0,
         g=g,
@@ -186,6 +185,12 @@ def compute_row(cfg: RunConfig, omega0: float, g: float, t: float) -> SweepRow:
         bs_measured=measured,
         convergence_margin=margin,
     )
+    return row, table, sq
+
+
+def compute_row(cfg: RunConfig, omega0: float, g: float, t: float) -> SweepRow:
+    """One sweep row; the report command prints exactly these values."""
+    return _evaluate(cfg, omega0, g, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +305,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             resid = max(resid, abs(z - limit) / abs(limit))
     record("RESONANCE_LIMIT", ok and resid <= 1e-5, resid)
 
-    # propagator unitarity at the configured point (needs the stepped oracle,
-    # so it is gated on the convergence margin like the scaling checks)
+    # propagator unitarity at the configured point, gated on the convergence
+    # margin like the scaling checks
     if in_regime:
-        bundle, _ = error_report(params, spec, cfg.t, tol=cfg.step_tol, buffer=cfg.buffer)
+        bundle, _ = error_report(params, spec, cfg.t, buffer=cfg.buffer)
         resid = max(
             unitarity_defect(u)
             for u in (bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2)
@@ -312,7 +317,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         skip("UNITARITY")
 
-    # order-by-order error scaling against the stepped oracle
+    # order-by-order error scaling against the exact propagator
     if in_regime and cfg.t > 0:
         gs = (0.01, 0.02, 0.04)
         err1, err2 = [], []
@@ -321,7 +326,6 @@ def cmd_verify(cfg: RunConfig) -> int:
                 ModelParams(cfg.omega, cfg.omega0, gv),
                 spec,
                 cfg.t,
-                tol=cfg.step_tol,
                 buffer=cfg.buffer,
             )
             err1.append(tab["err_magnus1"])
@@ -374,23 +378,18 @@ def cmd_report(cfg: RunConfig) -> int:
     """Single-point human-readable report (plus the sweep-row values verbatim)."""
     cfg.validate()
     params = ModelParams(cfg.omega, cfg.omega0, cfg.g)
-    spec = HilbertSpec(cfg.fock_dim)
-    row = compute_row(cfg, cfg.omega0, cfg.g, cfg.t)
-    bundle, table = error_report(params, spec, cfg.t, tol=cfg.step_tol, buffer=cfg.buffer)
+    row, table, sq = _evaluate(cfg, cfg.omega0, cfg.g, cfg.t)
 
     print("== parameter point ==")
     for name in ("omega", "omega0", "g", "t", "fock_dim"):
         print(f"{name} = {_fmt(getattr(row, name))}")
     print(f"buffer = {cfg.buffer}")
-    print(f"step_tol = {_fmt(cfg.step_tol)}")
 
     print("== propagator errors (phase-aligned, buffered subspace) ==")
     for name in ("err_rwa", "err_magnus1", "err_magnus2"):
         print(f"{name} = {_fmt(getattr(row, name))}")
     for name in ("rwa_vs_magnus1", "rwa_vs_magnus2", "magnus1_vs_magnus2"):
         print(f"{name} = {_fmt(table[name])}")
-    print(f"steps_exact = {bundle.steps_exact}")
-    print(f"steps_rwa = {bundle.steps_rwa}")
 
     print("== squeezing coefficient ==")
     branch = "resonance" if on_resonance_branch(params) else "closed"
@@ -401,8 +400,6 @@ def cmd_report(cfg: RunConfig) -> int:
     print("== squeezing scan: vacuum x |e> under exp(Omega_2) ==")
     for name in ("r_pred", "var_min", "var_max", "theta_min"):
         print(f"{name} = {_fmt(getattr(row, name))}")
-    sq_spec = HilbertSpec(max(cfg.fock_dim, 16))
-    sq = squeezing_report(params, sq_spec, cfg.t, atom="e")
     print(f"theta_pred = {_fmt(sq.theta_pred)}")
     print(f"product_check = {_fmt(sq.product_check)}")
 
@@ -454,7 +451,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # configuration plumbing
 
 
-_FLOAT_KEYS = {"omega", "omega0", "g", "t", "step_tol"}
+_FLOAT_KEYS = {"omega", "omega0", "g", "t"}
 _INT_KEYS = {"fock_dim", "buffer", "quad_steps"}
 _GRID_KEYS = {"t_grid", "omega0_grid", "g_grid"}
 _STR_KEYS = {"output_path"}
@@ -516,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g-grid", dest="g_grid", type=str, default=None)
         p.add_argument("--fock-dim", dest="fock_dim", type=int, default=None)
         p.add_argument("--buffer", type=int, default=None)
-        p.add_argument("--step-tol", dest="step_tol", type=float, default=None)
         p.add_argument("--quad-steps", dest="quad_steps", type=int, default=None)
         p.add_argument("--out", dest="output_path", type=str, default=None)
     return parser

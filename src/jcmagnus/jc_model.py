@@ -14,8 +14,8 @@ Conventions (hbar = 1 throughout, all energies in angular-frequency units):
 with detuning delta = omega - omega0 and sum frequency sigma = omega + omega0.
 The RWA Hamiltonian keeps only the detuning-frequency pair.  The rotated
 Hamiltonian satisfies H'(t) = D(t) H'(0) D(t)^dag with the diagonal phase
-D(t) = exp(i t (omega n + omega0 sigma_z / 2)); the propagator module leans on
-this identity.
+D(t) = exp(i t F), F = omega n + omega0 sigma_z / 2, so its propagator is
+D(t) exp(-i t (H'(0) + F)); the propagator module evaluates that identity.
 """
 
 from __future__ import annotations

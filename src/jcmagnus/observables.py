@@ -24,7 +24,7 @@ from .hilbert import (
 )
 from .jc_model import ModelParams
 from .magnus import omega2_closed, shift_rates, squeeze_params
-from .propagator import DEFAULT_STEP_TOL, u_exact, u_rwa, unitarity_defect
+from .propagator import u_exact, u_rwa, unitarity_defect
 
 __all__ = [
     "SqueezingReport",
@@ -195,9 +195,7 @@ def squeezing_report(
     )
 
 
-def bs_phase_probe(
-    params: ModelParams, spec: HilbertSpec, t: float, tol: float = DEFAULT_STEP_TOL
-) -> tuple[float, float]:
+def bs_phase_probe(params: ModelParams, spec: HilbertSpec, t: float) -> tuple[float, float]:
     """Vacuum Bloch-Siegert phase on |0, g>: (measured, predicted).
 
     measured = arg<0,g|u_exact|0,g> - arg<0,g|u_rwa|0,g>; the RWA Hamiltonian
@@ -205,8 +203,8 @@ def bs_phase_probe(
     second-order shift.  predicted = bs_rate(n=0, ground) * t = g^2 t / sigma.
     Meaningful while g t / pi stays below about one half.
     """
-    ue, _ = u_exact(params, spec, t, tol)
-    ur, _ = u_rwa(params, spec, t, tol)
+    ue = u_exact(params, spec, t)
+    ur = u_rwa(params, spec, t)
     idx = spec.index(0, ATOM_GROUND)
     measured = float(np.angle(ue[idx, idx]) - np.angle(ur[idx, idx]))
     measured = (measured + np.pi) % (2.0 * np.pi) - np.pi

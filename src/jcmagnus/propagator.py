@@ -2,40 +2,44 @@
 
 Four unitaries are produced for a given (params, t):
 
-  * u_exact    -- midpoint-exponential stepping of h_rotated with step
-                  doubling until self-consistency (the numerical oracle),
-  * u_rwa      -- the same stepping applied to h_rwa,
+  * u_exact    -- the exact propagator of h_rotated,
+  * u_rwa      -- the exact propagator of h_rwa,
   * u_magnus1  -- exp(Omega_1),
   * u_magnus2  -- exp(Omega_1 + Omega_2), one exponential of the sum.
 
-Each stepping factor exp(-i dt H(t_mid)) is exactly unitary (Hermitian
-eigendecomposition), so unitarity of every propagator holds by construction
-rather than by accuracy.  The stepped product is evaluated through the
-identity H(t) = D(t) H(0) D(t)^dag with the diagonal frame phase D, which
-collapses the M-step product to one small exponential plus a matrix power;
-the literal factor-by-factor product is kept as a reference implementation
-and the two are tested against each other.
+Both rotated Hamiltonians obey H(t) = D(t) H(0) D(t)^dag with the diagonal
+frame phase D(t) = exp(i t F), F = diag(frame_phases).  Their propagator is
+therefore the interaction-picture identity
 
-Error comparisons are phase-aligned spectral-norm distances taken after
-projecting onto a buffered Fock subspace, because ladder truncation corrupts
-the top levels and the Magnus/exact pair may differ by a physically
-irrelevant global phase.
+    U(t) = D(t) exp(-i t (H(0) + F)),
+
+a single Hermitian eigendecomposition: exact to rounding for every t and
+unitary by construction, with no time stepping.
+
+Every operator here conserves the parity of n + [atom excited], because the
+counter-rotating terms change the excitation number by two.  Each exponential
+is taken per parity block (two fock_dim eigendecompositions instead of one of
+size 2 fock_dim), so cross-parity entries of all four propagators are exactly
+zero.
+
+Error comparisons are phase-aligned spectral-norm distances restricted to a
+buffered Fock subspace, because ladder truncation corrupts the top levels and
+two propagators may differ by a physically irrelevant global phase.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpec, adjoint, expm_antiherm, spectral_norm
-from .jc_model import ModelParams, frame_phases, h_rotated, h_rotated_stack, h_rwa, h_rwa_stack
+from .hilbert import ATOM_EXCITED, HilbertSpec, adjoint, expm_antiherm, spectral_norm
+from .jc_model import ModelParams, frame_phases, h_rotated, h_rwa
 from .magnus import convergence_margin, omega1_closed, omega2_closed
 
 __all__ = [
     "DEFAULT_BUFFER",
-    "DEFAULT_STEP_TOL",
-    "MAX_STEPS",
     "PropagatorBundle",
     "error_report",
     "phase_aligned_distance",
@@ -46,18 +50,18 @@ __all__ = [
     "unitarity_defect",
 ]
 
-MAX_STEPS = 2**20
-START_STEPS = 64
-DEFAULT_STEP_TOL = 1e-10
 # Each application of h_rotated moves the photon number by one and the
 # second-order objects by up to two, so two guard levels quarantine the
 # truncation edge.
 DEFAULT_BUFFER = 2
+# Coarse-scan spacing and golden-section bracket width of the phase search.
+_PHASE_STEP = 2.0 * math.pi / 96
+_PHASE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PropagatorBundle:
-    """The four propagators at one parameter point plus stepping metadata."""
+    """The four propagators at one parameter point."""
 
     u_exact: np.ndarray
     u_rwa: np.ndarray
@@ -65,10 +69,6 @@ class PropagatorBundle:
     u_magnus2: np.ndarray
     params: ModelParams
     t: float
-    steps_exact: int
-    steps_rwa: int
-    resid_exact: float
-    resid_rwa: float
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -87,153 +87,128 @@ def project_buffer(spec: HilbertSpec, buffer: int) -> np.ndarray:
     return np.diag(np.repeat(keep, 2).astype(complex))
 
 
-def _nearest_unitary(m: np.ndarray) -> np.ndarray:
-    """Polar projection onto the unitary group (drops the rounding-level stretch)."""
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+def _parity_blocks(index: np.ndarray) -> list[np.ndarray]:
+    """Positions in `index` of the even and of the odd n + [atom excited] states.
 
-
-def _unitary_power(m: np.ndarray, k: int) -> np.ndarray:
-    """m**k for unitary m and k >= 0 by binary powering.
-
-    Every squaring doubles the inherited unitarity defect, which for large
-    step counts would accumulate to ~k * eps; re-projecting after each
-    squaring keeps the defect bounded independently of k.
+    `index` holds basis indices under the field-first convention; empty
+    blocks are dropped.
     """
-    result = np.eye(m.shape[0], dtype=complex)
-    base = m
-    while k > 0:
-        if k & 1:
-            result = base @ result
-        k >>= 1
-        if k:
-            base = _nearest_unitary(base @ base)
-    return _nearest_unitary(result)
+    parity = (index // 2 + (index % 2 == ATOM_EXCITED)) % 2
+    blocks = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+    return [blk for blk in blocks if blk.size]
 
 
-def _midpoint_product(h0: np.ndarray, phases: np.ndarray, t: float, steps: int) -> np.ndarray:
-    """Ordered product of exp(-i dt H(t_mid)) over all midpoints.
-
-    With H(t) = D(t) H(0) D(t)^dag and D(t) = exp(i t phases) diagonal, the
-    product telescopes to
-
-        D(t - dt/2) (E D(-dt))^{M-1} E D(dt/2)^dag,   E = exp(-i dt H(0)),
-
-    evaluated here as left-phase * (E R^{M-1}) * right-phase with
-    R = D(-dt) E.  Exact restructuring, not an approximation.
-    """
-    dt = t / steps
-    e = expm_antiherm(-1j * dt * h0)
-    r = np.exp(-1j * phases * dt)[:, None] * e
-    rm = _unitary_power(r, steps - 1)
-    left = np.exp(1j * phases * (t - 0.5 * dt))
-    right = np.exp(-1j * phases * 0.5 * dt)
-    return left[:, None] * (e @ rm) * right[None, :]
-
-
-def _midpoint_product_reference(
-    params: ModelParams, spec: HilbertSpec, t: float, steps: int, rwa: bool
-) -> np.ndarray:
-    """Literal factor-by-factor midpoint product (reference for the fast path)."""
-    dt = t / steps
-    mids = (np.arange(steps) + 0.5) * dt
-    stack = h_rwa_stack(params, spec, mids) if rwa else h_rotated_stack(params, spec, mids)
-    lam, q = np.linalg.eigh(stack)  # batched Hermitian eigendecompositions
-    factors = np.einsum("kij,kj,klj->kil", q, np.exp(-1j * dt * lam), q.conj())
-    while factors.shape[0] > 1:
-        m = factors.shape[0]
-        paired = factors[1 : 2 * (m // 2) : 2] @ factors[0 : 2 * (m // 2) : 2]
-        if m % 2:
-            paired = np.concatenate([paired, factors[-1:]], axis=0)
-        factors = paired
-    return factors[0]
-
-
-def _stepped_propagator(
-    params: ModelParams, spec: HilbertSpec, t: float, tol: float, rwa: bool
-) -> tuple[np.ndarray, int, float]:
-    """Step-doubled midpoint propagator; returns (U, steps, last residual)."""
-    if tol < 1e-12:
-        raise ValueError(f"stepping tolerance must be >= 1e-12, got {tol}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    eye = np.eye(spec.dim, dtype=complex)
-    if t == 0.0 or params.g == 0.0:
-        return eye, 0, 0.0
-    h0 = h_rwa(params, spec, 0.0) if rwa else h_rotated(params, spec, 0.0)
-    phases = frame_phases(params, spec)
-    steps = START_STEPS
-    u_prev = None
-    resid = np.inf
-    while steps <= MAX_STEPS:
-        u = _midpoint_product(h0, phases, t, steps)
-        if u_prev is not None:
-            resid = spectral_norm(u - u_prev)
-            if resid <= tol:
-                return u, steps, resid
-        u_prev = u
-        steps *= 2
-    raise RuntimeError(
-        f"midpoint stepping did not reach tol={tol:.1e} within {MAX_STEPS} steps "
-        f"(last residual {resid:.3e})"
+def _couples_blocks(m: np.ndarray, blocks: list[np.ndarray]) -> bool:
+    """Whether m has a nonzero entry between two different parity blocks."""
+    return len(blocks) > 1 and bool(
+        np.any(m[np.ix_(blocks[0], blocks[1])]) or np.any(m[np.ix_(blocks[1], blocks[0])])
     )
 
 
-def u_exact(
-    params: ModelParams, spec: HilbertSpec, t: float, tol: float = DEFAULT_STEP_TOL
-) -> tuple[np.ndarray, int]:
-    """Numerically exact propagator of h_rotated; returns (U, steps used)."""
-    u, steps, _ = _stepped_propagator(params, spec, t, tol, rwa=False)
-    return u, steps
+def _expm_blockwise(gen: np.ndarray) -> np.ndarray:
+    """exp(G) of a parity-conserving anti-Hermitian G, one expm_antiherm per block."""
+    blocks = _parity_blocks(np.arange(gen.shape[0]))
+    if _couples_blocks(gen, blocks):
+        raise ValueError("generator couples the two excitation-parity blocks")
+    u = np.zeros(gen.shape, dtype=complex)
+    for blk in blocks:
+        sub = np.ix_(blk, blk)
+        u[sub] = expm_antiherm(gen[sub])
+    return u
 
 
-def u_rwa(
-    params: ModelParams, spec: HilbertSpec, t: float, tol: float = DEFAULT_STEP_TOL
-) -> tuple[np.ndarray, int]:
-    """Stepped propagator of the RWA Hamiltonian; returns (U, steps used)."""
-    u, steps, _ = _stepped_propagator(params, spec, t, tol, rwa=True)
-    return u, steps
+def _frame_propagator(params: ModelParams, spec: HilbertSpec, t: float, rwa: bool) -> np.ndarray:
+    """D(t) exp(-i t (H(0) + F)) for H = h_rwa or h_rotated."""
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    if t == 0.0 or params.g == 0.0:
+        return np.eye(spec.dim, dtype=complex)
+    phases = frame_phases(params, spec)
+    h0 = h_rwa(params, spec, 0.0) if rwa else h_rotated(params, spec, 0.0)
+    u_lab = _expm_blockwise(-1j * t * (h0 + np.diag(phases)))
+    return np.exp(1j * t * phases)[:, None] * u_lab
+
+
+def u_exact(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
+    """Exact propagator of h_rotated over [0, t]."""
+    return _frame_propagator(params, spec, t, rwa=False)
+
+
+def u_rwa(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
+    """Exact propagator of the RWA Hamiltonian h_rwa over [0, t]."""
+    return _frame_propagator(params, spec, t, rwa=True)
 
 
 def u_magnus(params: ModelParams, spec: HilbertSpec, t: float, order: int) -> np.ndarray:
     """exp(Omega_1) or exp(Omega_1 + Omega_2); a single exponential of the sum."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    om1 = omega1_closed(params, spec, t).omega1
-    if order == 1:
-        return expm_antiherm(om1)
-    om2 = omega2_closed(params, spec, t).omega2
-    return expm_antiherm(om1 + om2)
+    gen = omega1_closed(params, spec, t).omega1
+    if order == 2:
+        gen = gen + omega2_closed(params, spec, t).omega2
+    return _expm_blockwise(gen)
+
+
+def _kept_indices(projector: np.ndarray) -> np.ndarray:
+    diag = np.diag(projector)
+    if not (np.array_equal(projector, np.diag(diag)) and np.all((diag == 0) | (diag == 1))):
+        raise ValueError("projector must be diagonal with 0/1 entries, as project_buffer returns")
+    return np.flatnonzero(diag)
 
 
 def phase_aligned_distance(
     u1: np.ndarray, u2: np.ndarray, projector: np.ndarray | None = None
 ) -> float:
-    """min over phi of ||P U1 P - e^{i phi} P U2 P|| in spectral norm.
+    """min over phi of f(phi) = ||P U1 P - e^{i phi} P U2 P|| in spectral norm.
 
-    Coarse scan over the circle followed by golden-section refinement; the
-    distance is insensitive to a global phase of either argument.
+    P is a diagonal 0/1 projector (project_buffer); the norm is taken on the
+    kept indices directly.  When neither matrix couples the two parity
+    blocks, f is the larger of the two block norms.
+
+    The search starts at phi0 = arg tr(B^dag A) with A, B the projected
+    arguments.  By the triangle inequality
+    f(phi) >= |e^{i phi} - e^{i phi0}| ||B|| - f(phi0), so no phase farther
+    than 2 arcsin(f(phi0) / ||B||) from phi0 beats f(phi0).  Only that arc
+    is scanned, at spacing 2 pi / 96, before golden-section refinement around
+    the best scan point; the distance is insensitive to a global phase of
+    either argument.
     """
     a = np.asarray(u1, dtype=complex)
     b = np.asarray(u2, dtype=complex)
+    index = np.arange(a.shape[0])
     if projector is not None:
-        a = projector @ a @ projector
-        b = projector @ b @ projector
+        index = _kept_indices(projector)
+        a = a[np.ix_(index, index)]
+        b = b[np.ix_(index, index)]
+    blocks = _parity_blocks(index)
+    if _couples_blocks(a, blocks) or _couples_blocks(b, blocks):
+        pairs = [(a, b)]
+    else:
+        pairs = [(a[np.ix_(blk, blk)], b[np.ix_(blk, blk)]) for blk in blocks]
+
+    def top(m: np.ndarray) -> float:
+        return float(np.linalg.svd(m, compute_uv=False)[0])
 
     def dist(phi: float) -> float:
-        return float(np.linalg.svd(a - np.exp(1j * phi) * b, compute_uv=False)[0])
+        z = np.exp(1j * phi)
+        return max(top(x - z * y) for x, y in pairs)
 
-    coarse = np.linspace(-np.pi, np.pi, 97)[:-1]
-    values = [dist(p) for p in coarse]
-    k = int(np.argmin(values))
-    step = coarse[1] - coarse[0]
-    lo, hi = coarse[k] - step, coarse[k] + step
+    phi0 = float(np.angle(np.vdot(b, a)))
+    f0 = dist(phi0)
+    norm_b = max(top(y) for _, y in pairs)
+    half = 2.0 * math.asin(f0 / norm_b) if f0 < norm_b else math.pi
+    k = int(half // _PHASE_STEP)
+    scan = phi0 + _PHASE_STEP * np.arange(-k, k + 1)
+    values = [f0 if j == k else dist(p) for j, p in enumerate(scan)]
+    best = scan[int(np.argmin(values))]
+    lo = max(best - _PHASE_STEP, phi0 - half)
+    hi = min(best + _PHASE_STEP, phi0 + half)
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = dist(x1), dist(x2)
-    while hi - lo > 1e-10:
+    while hi - lo > _PHASE_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -249,7 +224,6 @@ def error_report(
     params: ModelParams,
     spec: HilbertSpec,
     t: float,
-    tol: float = DEFAULT_STEP_TOL,
     buffer: int = DEFAULT_BUFFER,
 ) -> tuple[PropagatorBundle, dict[str, float]]:
     """All four propagators plus their pairwise phase-aligned distances.
@@ -258,22 +232,11 @@ def error_report(
     The table also carries the convergence margin g t / pi.
     """
     proj = project_buffer(spec, buffer)
-    ue, steps_e, resid_e = _stepped_propagator(params, spec, t, tol, rwa=False)
-    ur, steps_r, resid_r = _stepped_propagator(params, spec, t, tol, rwa=True)
+    ue = u_exact(params, spec, t)
+    ur = u_rwa(params, spec, t)
     m1 = u_magnus(params, spec, t, order=1)
     m2 = u_magnus(params, spec, t, order=2)
-    bundle = PropagatorBundle(
-        u_exact=ue,
-        u_rwa=ur,
-        u_magnus1=m1,
-        u_magnus2=m2,
-        params=params,
-        t=t,
-        steps_exact=steps_e,
-        steps_rwa=steps_r,
-        resid_exact=resid_e,
-        resid_rwa=resid_r,
-    )
+    bundle = PropagatorBundle(u_exact=ue, u_rwa=ur, u_magnus1=m1, u_magnus2=m2, params=params, t=t)
     table = {
         "err_rwa": phase_aligned_distance(ue, ur, proj),
         "err_magnus1": phase_aligned_distance(ue, m1, proj),

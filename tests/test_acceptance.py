@@ -76,7 +76,7 @@ def scaling_runs():
         errs1, errs2, errs_rwa, unit = [], [], [], 0.0
         for g in SCALING_GS:
             p = ModelParams(1.0, 0.8, g)
-            bundle, table = error_report(p, spec, 1.0, tol=1e-10, buffer=buffer)
+            bundle, table = error_report(p, spec, 1.0, buffer=buffer)
             errs1.append(table["err_magnus1"])
             errs2.append(table["err_magnus2"])
             errs_rwa.append(table["err_rwa"])
@@ -98,7 +98,7 @@ def bs_runs():
         spec = HilbertSpec(fock)
         probes = []
         for g in SCALING_GS:
-            probes.append(bs_phase_probe(ModelParams(1.0, 0.9, g), spec, 20.0, tol=1e-9))
+            probes.append(bs_phase_probe(ModelParams(1.0, 0.9, g), spec, 20.0))
         out[fock] = probes
     return out
 
@@ -309,8 +309,6 @@ def test_c12_sweep_determinism(tmp_path):
         "0.02,0.05",
         "--fock-dim",
         "10",
-        "--step-tol",
-        "1e-9",
         "--quad-steps",
         "256",
     ]

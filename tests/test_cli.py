@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from jcmagnus.cli import SWEEP_FIELDS, RunConfig, load_config_file, main
 
-FAST = ["--fock-dim", "8", "--step-tol", "1e-8", "--quad-steps", "256"]
+FAST = ["--fock-dim", "8", "--quad-steps", "256"]
 
 
 def test_config_validation_names_field():
@@ -17,8 +18,6 @@ def test_config_validation_names_field():
         RunConfig(fock_dim=4, buffer=3).validate()
     with pytest.raises(ValueError, match="quad_steps"):
         RunConfig(quad_steps=63).validate()
-    with pytest.raises(ValueError, match="step_tol"):
-        RunConfig(step_tol=1e-13).validate()
     with pytest.raises(ValueError, match="g "):
         RunConfig(g=-0.1).validate()
     with pytest.raises(ValueError, match="omega0_grid"):
@@ -147,7 +146,7 @@ def test_config_file_and_flag_override(tmp_path, capsys):
         "omega0 = 0.75\n"
         "g = 0.04\n"
         "fock_dim = 8\n"
-        "step_tol = 1e-8\n"
+        "buffer = 3\n"
         "quad_steps = 256\n"
     )
     parsed = load_config_file(str(cfg_file))
@@ -155,12 +154,13 @@ def test_config_file_and_flag_override(tmp_path, capsys):
         "omega0": 0.75,
         "g": 0.04,
         "fock_dim": 8,
-        "step_tol": 1e-8,
+        "buffer": 3,
         "quad_steps": 256,
     }
     lines = _report_lines(capsys, ["--config", str(cfg_file), "--g", "0.02"])
     values = dict(ln.split(" = ", 1) for ln in lines if " = " in ln)
     assert float(values["omega0"]) == 0.75  # from the file
+    assert values["buffer"] == "3"
     assert float(values["g"]) == 0.02  # flag wins over the file
 
 
@@ -169,6 +169,11 @@ def test_config_file_rejects_unknown_key(tmp_path):
     bad.write_text("omeg = 1.0\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(str(bad))
+    # the stepping tolerance of the former time-stepped propagator is gone
+    old = tmp_path / "old.cfg"
+    old.write_text("step_tol = 1e-10\n")
+    with pytest.raises(ValueError, match="unknown config key 'step_tol'"):
+        load_config_file(str(old))
 
 
 def test_grid_flag_parsing(tmp_path):
@@ -180,3 +185,38 @@ def test_grid_flag_parsing(tmp_path):
         rows = list(csv.DictReader(handle))
     assert [float(r["t"]) for r in rows] == [0.5, 1.0]
     assert list(rows[0].keys()) == list(SWEEP_FIELDS)
+
+
+# Points inside the convergence regime g t / pi < 1 where the former
+# time-stepped propagator ran out of steps and the commands exited 2.
+
+
+def test_readme_long_time_report(capsys):
+    lines = _report_lines(capsys, ["--omega0", "0.9", "--g", "0.02", "--t", "20"])
+    values = {}
+    for line in lines:
+        name, sep, value = line.partition(" = ")
+        if sep and name != "zeta_branch":
+            values[name] = float(value)
+    assert set(SWEEP_FIELDS) <= set(values)
+    assert all(math.isfinite(values[name]) for name in SWEEP_FIELDS)
+    for name in ("err_rwa", "err_magnus1", "err_magnus2", "rwa_vs_magnus1", "rwa_vs_magnus2",
+                 "magnus1_vs_magnus2"):
+        assert 0.0 <= values[name] <= 2.0, name
+
+
+def test_verify_long_time_passes(capsys):
+    assert main(["verify", "--omega0", "0.9", "--g", "0.02", "--t", "5"]) == 0
+    assert " FAIL " not in capsys.readouterr().out
+
+
+def test_verify_long_time_runs_every_check(capsys):
+    # t = 10 at the default g: every check runs and the propagator checks
+    # pass; the squeezing check may fail on its own (exit 1), never with an
+    # error (exit 2)
+    assert main(["verify", "--t", "10"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    status = dict(line.split()[:2] for line in captured.out.splitlines())
+    for name in ("UNITARITY", "ERROR_SCALING", "ERR2_LE_ERR1"):
+        assert status[name] == "PASS", name

@@ -24,6 +24,7 @@ from jcmagnus.magnus import (
     squeeze_params,
     zeta_resonance_limit,
 )
+from jcmagnus.magnus import _ramp
 from jcmagnus.propagator import project_buffer
 
 # Frozen oracle values, computed with the double-Simpson quadrature of the
@@ -57,6 +58,23 @@ def test_integrals_closed_at_t0():
         assert getattr(ints, name) == 0j
     with pytest.raises(ValueError):
         integrals_closed(ModelParams(1.0, 0.8, 0.05), -0.1)
+
+
+@pytest.mark.parametrize("xt", [0.0, 1e-9, 1e-7, 1.1e-6, 1e-4, 0.1, 0.5, 0.9, 3.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ramp_relative_accuracy(xt, sign):
+    # f(x, t) = t/x - sin(x t)/x^2 against 50-digit arithmetic on both sides
+    # of the series/direct switch, including the former cancellation region
+    mpmath = pytest.importorskip("mpmath")
+    t = 1.3
+    x = sign * xt / t
+    if x == 0.0:
+        assert _ramp(x, t) == 0.0
+        return
+    with mpmath.workdps(50):
+        xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+        want = (xm * tm - mpmath.sin(xm * tm)) / (xm * xm)
+        assert abs((_ramp(x, t) - want) / want) <= 1e-14
 
 
 def test_integrals_quadrature_matches_closed():

@@ -48,7 +48,7 @@ def test_evolve_identity_and_checks(rng):
 def test_zero_coupling_leaves_state_alone():
     spec = HilbertSpec(6)
     p = ModelParams(1.0, 0.8, 0.0)
-    u, _ = u_exact(p, spec, 2.0)
+    u = u_exact(p, spec, 2.0)
     psi = evolve(u, basis_state(spec, 0, "e"))
     assert np.array_equal(psi.amplitudes, basis_state(spec, 0, "e").amplitudes)
 
@@ -57,7 +57,7 @@ def test_excited_vacuum_develops_photons():
     # population transfer out of |0, e> exists for any g > 0
     spec = HilbertSpec(8)
     p = ModelParams(1.0, 0.8, 0.05)
-    u, _ = u_exact(p, spec, 1.0, 1e-10)
+    u = u_exact(p, spec, 1.0)
     psi = evolve(u, basis_state(spec, 0, "e"))
     _, _, nbar = populations(psi)
     assert nbar > 1e-6
@@ -155,7 +155,7 @@ def test_squeezing_report_atom_parity():
 def test_uncertainty_product_for_evolved_states():
     spec = HilbertSpec(16)
     p = ModelParams(1.0, 0.8, 0.05)
-    u, _ = u_exact(p, spec, 1.0, 1e-10)
+    u = u_exact(p, spec, 1.0)
     for n, atom in ((0, "e"), (0, "g"), (2, "g")):
         psi = evolve(u, basis_state(spec, n, atom))
         for theta in (0.0, 0.3, 1.1):
@@ -171,15 +171,15 @@ def test_bs_phase_probe_zero_coupling():
 def test_bs_phase_probe_reference_point():
     # predicted = g^2 t / sigma = 0.0004 * 20 / 1.9 ~ 4.21e-3 rad
     p = ModelParams(1.0, 0.9, 0.02)
-    measured, predicted = bs_phase_probe(p, HilbertSpec(12), 20.0, tol=1e-8)
+    measured, predicted = bs_phase_probe(p, HilbertSpec(12), 20.0)
     assert predicted == pytest.approx(0.02**2 * 20.0 / 1.9, rel=1e-12)
     assert abs(measured - predicted) <= 0.25 * predicted
 
 
 def test_bs_phase_probe_quadratic_scaling():
     spec = HilbertSpec(10)
-    _, p1 = bs_phase_probe(ModelParams(1.0, 0.9, 0.01), spec, 20.0, tol=1e-8)
-    _, p2 = bs_phase_probe(ModelParams(1.0, 0.9, 0.02), spec, 20.0, tol=1e-8)
+    _, p1 = bs_phase_probe(ModelParams(1.0, 0.9, 0.01), spec, 20.0)
+    _, p2 = bs_phase_probe(ModelParams(1.0, 0.9, 0.02), spec, 20.0)
     assert p2 / p1 == pytest.approx(4.0, rel=1e-12)
 
 

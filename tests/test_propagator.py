@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from jcmagnus.hilbert import HilbertSpec, annihilation, commutator, creation, spectral_norm, tensor
-from jcmagnus.jc_model import ModelParams, frame_phases, h_rotated, h_rwa
+from jcmagnus.jc_model import ModelParams, frame_phases, h_rwa
 from jcmagnus.propagator import (
-    _midpoint_product,
-    _midpoint_product_reference,
+    _parity_blocks,
     error_report,
     phase_aligned_distance,
     project_buffer,
@@ -14,6 +13,7 @@ from jcmagnus.propagator import (
     u_rwa,
     unitarity_defect,
 )
+from oracles import midpoint_extrapolated, midpoint_product, phase_scan_distance
 
 PARAMS = ModelParams(1.0, 0.8, 0.05)
 
@@ -41,21 +41,18 @@ def test_projected_ladder_commutator_is_identity():
 
 def test_trivial_propagators():
     spec = HilbertSpec(6)
-    u, steps = u_exact(ModelParams(1.0, 0.8, 0.0), spec, 3.0)
-    assert steps == 0 and np.array_equal(u, np.eye(12))
-    u, steps = u_exact(PARAMS, spec, 0.0)
-    assert steps == 0 and np.array_equal(u, np.eye(12))
-    u, steps = u_rwa(ModelParams(1.0, 0.8, 0.0), spec, 2.0)
-    assert steps == 0
+    assert np.array_equal(u_exact(ModelParams(1.0, 0.8, 0.0), spec, 3.0), np.eye(12))
+    assert np.array_equal(u_exact(PARAMS, spec, 0.0), np.eye(12))
+    assert np.array_equal(u_rwa(ModelParams(1.0, 0.8, 0.0), spec, 2.0), np.eye(12))
     assert np.array_equal(u_magnus(ModelParams(1.0, 0.8, 0.0), spec, 1.0, 1), np.eye(12))
 
 
 def test_stepping_validation():
     spec = HilbertSpec(6)
     with pytest.raises(ValueError):
-        u_exact(PARAMS, spec, 1.0, tol=1e-13)
-    with pytest.raises(ValueError):
         u_exact(PARAMS, spec, -1.0)
+    with pytest.raises(ValueError):
+        u_rwa(PARAMS, spec, -1.0)
     with pytest.raises(ValueError):
         u_magnus(PARAMS, spec, 1.0, 3)
 
@@ -63,37 +60,56 @@ def test_stepping_validation():
 @pytest.mark.parametrize("steps", [1, 5, 64, 129])
 @pytest.mark.parametrize("rwa", [False, True])
 def test_fast_product_matches_reference(steps, rwa):
+    # The propagator over [0, t] is the ordered product of the propagators
+    # over `steps` equal slices, and the slice starting at s is the one from 0
+    # conjugated by the frame phase D(s) = exp(i s F).
     spec = HilbertSpec(8)
-    h0 = h_rwa(PARAMS, spec, 0.0) if rwa else h_rotated(PARAMS, spec, 0.0)
-    fast = _midpoint_product(h0, frame_phases(PARAMS, spec), 1.3, steps)
-    ref = _midpoint_product_reference(PARAMS, spec, 1.3, steps, rwa=rwa)
-    assert spectral_norm(fast - ref) <= 1e-11
-    assert unitarity_defect(fast) <= 1e-12
+    t = 1.3
+    dt = t / steps
+    prop = u_rwa if rwa else u_exact
+    phases = frame_phases(PARAMS, spec)
+    piece = prop(PARAMS, spec, dt)
+    product = np.eye(spec.dim, dtype=complex)
+    for k in range(steps):
+        d = np.exp(1j * k * dt * phases)
+        product = (d[:, None] * piece * d.conj()[None, :]) @ product
+    assert spectral_norm(product - prop(PARAMS, spec, t)) <= 1e-11
+    assert unitarity_defect(product) <= 1e-12
 
 
 def test_second_order_self_convergence():
+    # the midpoint oracle converges to the exact propagator at second order
     spec = HilbertSpec(10)
-    h0 = h_rotated(PARAMS, spec, 0.0)
-    phases = frame_phases(PARAMS, spec)
-    u1 = _midpoint_product(h0, phases, 1.0, 256)
-    u2 = _midpoint_product(h0, phases, 1.0, 512)
-    u3 = _midpoint_product(h0, phases, 1.0, 1024)
-    ratio = spectral_norm(u1 - u2) / spectral_norm(u2 - u3)
-    assert 3.5 <= ratio <= 4.5
+    ue = u_exact(PARAMS, spec, 1.0)
+    e1, e2, e3 = (
+        spectral_norm(midpoint_product(PARAMS, spec, 1.0, m, rwa=False) - ue)
+        for m in (64, 128, 256)
+    )
+    assert 3.5 <= e1 / e2 <= 4.5
+    assert 3.5 <= e2 / e3 <= 4.5
+
+
+@pytest.mark.parametrize("fock", [8, 12])
+@pytest.mark.parametrize("w0, g", [(0.8, 0.05), (1.0, 0.2)])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+@pytest.mark.parametrize("rwa", [False, True])
+def test_propagators_match_midpoint_oracle(fock, w0, g, t, rwa):
+    spec = HilbertSpec(fock)
+    p = ModelParams(1.0, w0, g)
+    u = u_rwa(p, spec, t) if rwa else u_exact(p, spec, t)
+    assert spectral_norm(u - midpoint_extrapolated(p, spec, t, 256, rwa)) <= 1e-9
 
 
 def test_u_rwa_constant_hamiltonian_on_resonance():
     # at delta = 0 the RWA Hamiltonian is time independent, so one exponential
-    # of -i t H matches the stepped result
+    # of -i t H is its propagator
     from jcmagnus.hilbert import expm_antiherm
 
     spec = HilbertSpec(8)
     p = ModelParams(1.0, 1.0, 0.05)
     t = 1.7
-    tol = 1e-10
-    stepped, _ = u_rwa(p, spec, t, tol)
     direct = expm_antiherm(-1j * t * h_rwa(p, spec, 0.0))
-    assert phase_aligned_distance(stepped, direct) <= tol
+    assert phase_aligned_distance(u_rwa(p, spec, t), direct) <= 1e-12
 
 
 def test_rwa_error_decreases_with_sum_frequency():
@@ -103,8 +119,8 @@ def test_rwa_error_decreases_with_sum_frequency():
     errs = []
     for omega in (1.0, 2.0, 4.0):
         p = ModelParams(omega, omega - 0.2, 0.05)
-        ue, _ = u_exact(p, spec, 1.0, 1e-10)
-        ur, _ = u_rwa(p, spec, 1.0, 1e-10)
+        ue = u_exact(p, spec, 1.0)
+        ur = u_rwa(p, spec, 1.0)
         errs.append(phase_aligned_distance(ue, ur, proj))
     assert errs[0] > errs[1] > errs[2]
 
@@ -115,7 +131,7 @@ def test_magnus_errors_and_halving():
 
     def errors(g):
         p = ModelParams(1.0, 0.8, g)
-        ue, _ = u_exact(p, spec, 1.0, 1e-10)
+        ue = u_exact(p, spec, 1.0)
         e1 = phase_aligned_distance(ue, u_magnus(p, spec, 1.0, 1), proj)
         e2 = phase_aligned_distance(ue, u_magnus(p, spec, 1.0, 2), proj)
         return e1, e2
@@ -137,7 +153,7 @@ def test_error_report_zero_coupling():
 
 def test_phase_alignment_invariance():
     spec = HilbertSpec(8)
-    ue, _ = u_exact(PARAMS, spec, 1.0, 1e-10)
+    ue = u_exact(PARAMS, spec, 1.0)
     assert phase_aligned_distance(ue, np.exp(0.83j) * ue) <= 1e-9
     um = u_magnus(PARAMS, spec, 1.0, 2)
     d1 = phase_aligned_distance(ue, um)
@@ -145,24 +161,85 @@ def test_phase_alignment_invariance():
     assert d1 == pytest.approx(d2, abs=1e-9)
 
 
+# Fock 12 across detuning, coupling and time, plus the benchmark's report sizes.
+PHASE_GRID = [
+    (12, w0, g, t)
+    for w0 in (0.8, 0.9, 1.0, 1.1)
+    for g in (0.02, 0.05, 0.2)
+    for t in (0.5, 1.0, 3.0, 8.0)
+] + [(fock, w0, g, 1.0) for fock in (24, 48) for w0 in (0.8, 1.0) for g in (0.02, 0.05)]
+PAIRS = {
+    "err_rwa": ("u_exact", "u_rwa"),
+    "err_magnus1": ("u_exact", "u_magnus1"),
+    "err_magnus2": ("u_exact", "u_magnus2"),
+    "rwa_vs_magnus1": ("u_rwa", "u_magnus1"),
+    "rwa_vs_magnus2": ("u_rwa", "u_magnus2"),
+    "magnus1_vs_magnus2": ("u_magnus1", "u_magnus2"),
+}
+
+
+@pytest.mark.parametrize("fock, w0, g, t", PHASE_GRID)
+def test_phase_alignment_matches_scan_oracle(fock, w0, g, t):
+    spec = HilbertSpec(fock)
+    proj = project_buffer(spec, 2)
+    bundle, table = error_report(ModelParams(1.0, w0, g), spec, t)
+    for name, (k1, k2) in PAIRS.items():
+        u1, u2 = getattr(bundle, k1), getattr(bundle, k2)
+        want = phase_scan_distance(u1, u2, proj)
+        assert abs(table[name] - want) <= 1e-9, name
+        rotated = phase_aligned_distance(np.exp(2.1j) * u1, np.exp(-0.7j) * u2, proj)
+        assert abs(rotated - want) <= 1e-9, name
+
+
+def test_phase_alignment_without_parity_structure(rng):
+    # random unitaries couple every index, so the distance takes the
+    # single-block path, and they are far apart, so the whole circle is scanned
+    def random_unitary(dim):
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    u1, u2 = random_unitary(10), random_unitary(10)
+    proj = project_buffer(HilbertSpec(5), 1)
+    for p in (None, proj):
+        assert abs(phase_aligned_distance(u1, u2, p) - phase_scan_distance(u1, u2, p)) <= 1e-9
+    near = u1 @ (np.eye(10) + 1e-3 * (u2 - u2.conj().T))
+    for p in (None, proj):
+        want = phase_scan_distance(u1, near, p)
+        assert abs(phase_aligned_distance(u1, np.exp(1.3j) * near, p) - want) <= 1e-9
+
+
+def test_phase_alignment_rejects_non_diagonal_projector():
+    u = np.eye(4, dtype=complex)
+    with pytest.raises(ValueError, match="projector"):
+        phase_aligned_distance(u, u, np.full((4, 4), 0.25))
+
+
 def test_error_report_truncation_independence():
     # same physical window: N with buffer 3 against N+4 with buffer 7
-    _, small = error_report(PARAMS, HilbertSpec(10), 1.0, tol=1e-10, buffer=3)
-    _, large = error_report(PARAMS, HilbertSpec(14), 1.0, tol=1e-10, buffer=7)
+    _, small = error_report(PARAMS, HilbertSpec(10), 1.0, buffer=3)
+    _, large = error_report(PARAMS, HilbertSpec(14), 1.0, buffer=7)
     for key in ("err_rwa", "err_magnus1", "err_magnus2"):
         assert abs(small[key] - large[key]) <= 1e-6
 
 
 def test_bundle_unitarity_and_norm_preservation(rng):
     spec = HilbertSpec(10)
-    bundle, _ = error_report(PARAMS, spec, 1.0, tol=1e-10)
+    bundle, _ = error_report(PARAMS, spec, 1.0)
     psi = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
     psi /= np.linalg.norm(psi)
     for u in (bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2):
         assert unitarity_defect(u) <= 1e-10
         assert abs(np.linalg.norm(u @ psi) - 1.0) <= 1e-10
-    assert bundle.steps_exact > 0
-    assert bundle.resid_exact <= 1e-10
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0])
+def test_bundle_cross_parity_entries_are_zero(t):
+    spec = HilbertSpec(12)
+    bundle, _ = error_report(ModelParams(1.0, 0.9, 0.02), spec, t)
+    even, odd = _parity_blocks(np.arange(spec.dim))
+    for u in (bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2):
+        assert not np.any(u[np.ix_(even, odd)]) and not np.any(u[np.ix_(odd, even)])
+        assert np.any(u[np.ix_(even, even)]) and np.any(u[np.ix_(odd, odd)])
 
 
 def test_u_magnus2_is_single_exponential_of_sum():
