@@ -44,8 +44,21 @@ from .magnus import (
     shift_rates,
     zeta_resonance_limit,
 )
-from .observables import SqueezingReport, bs_phase_probe, squeezing_report
-from .propagator import error_report, project_buffer, unitarity_defect
+from .observables import (
+    SqueezingReport,
+    _bs_phase,
+    gaussian_squeeze_extrema,
+    squeezing_report,
+)
+from .propagator import (
+    error_report,
+    phase_aligned_distance,
+    project_buffer,
+    propagator_bundle,
+    u_exact,
+    u_magnus,
+    unitarity_defect,
+)
 
 __all__ = ["RunConfig", "SweepRow", "cmd_report", "cmd_sweep", "cmd_verify", "main"]
 
@@ -153,12 +166,12 @@ def _evaluate(
     """The row, error table and squeezing report at one point, each computed once."""
     params = ModelParams(cfg.omega, omega0, g)
     spec = HilbertSpec(cfg.fock_dim)
-    _, table = error_report(params, spec, t, buffer=cfg.buffer)
+    bundle, table = error_report(params, spec, t, buffer=cfg.buffer)
     zeta = integrals_closed(params, t).zeta
-    # the squeezing scan needs room for the squeezed-vacuum tail
+    # the squeezing readout needs room for the squeezed-vacuum tail
     sq_spec = HilbertSpec(max(cfg.fock_dim, 16))
     sq = squeezing_report(params, sq_spec, t, atom="e")
-    measured, predicted = bs_phase_probe(params, spec, t)
+    measured, predicted = _bs_phase(bundle.u_exact, bundle.u_rwa, params, spec, t)
     margin = convergence_margin(params, t)
     if margin < 0.3 and table["err_magnus2"] > table["err_magnus1"]:
         print(
@@ -308,7 +321,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # propagator unitarity at the configured point, gated on the convergence
     # margin like the scaling checks
     if in_regime:
-        bundle, _ = error_report(params, spec, cfg.t, buffer=cfg.buffer)
+        bundle = propagator_bundle(params, spec, cfg.t)
         resid = max(
             unitarity_defect(u)
             for u in (bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2)
@@ -322,14 +335,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         gs = (0.01, 0.02, 0.04)
         err1, err2 = [], []
         for gv in gs:
-            _, tab = error_report(
-                ModelParams(cfg.omega, cfg.omega0, gv),
-                spec,
-                cfg.t,
-                buffer=cfg.buffer,
-            )
-            err1.append(tab["err_magnus1"])
-            err2.append(tab["err_magnus2"])
+            p = ModelParams(cfg.omega, cfg.omega0, gv)
+            ue = u_exact(p, spec, cfg.t)
+            err1.append(phase_aligned_distance(ue, u_magnus(p, spec, cfg.t, order=1), proj))
+            err2.append(phase_aligned_distance(ue, u_magnus(p, spec, cfg.t, order=2), proj))
         s1 = _fit_log2_slope(gs, err1)
         s2 = _fit_log2_slope(gs, err2)
         outside = max(0.0, abs(s1 - 2.0) - 0.2) + max(0.0, abs(s2 - 3.0) - 0.3)
@@ -340,7 +349,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         skip("ERROR_SCALING")
         skip("ERR2_LE_ERR1")
 
-    # squeezing variance against the predicted squeeze magnitude
+    # squeezing readout against the exact Gaussian extrema of exp(Omega_2)
     if in_regime and cfg.t > 0:
         sq_spec = HilbertSpec(max(cfg.fock_dim, 24))
         worst_var = 0.0
@@ -348,10 +357,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         product_resid = 0.0
         for atom in ("e", "g"):
             rep = squeezing_report(params, sq_spec, cfg.t, atom)
-            worst_var = max(
-                worst_var, abs(rep.var_min - 0.25 * math.exp(-2.0 * rep.r_pred))
-            )
-            dtheta = abs(rep.theta_min - rep.theta_pred) % math.pi
+            var_ref, theta_ref = gaussian_squeeze_extrema(params, cfg.t, atom)
+            worst_var = max(worst_var, abs(rep.var_min - var_ref))
+            dtheta = abs(rep.theta_min - theta_ref) % math.pi
             worst_theta = max(worst_theta, min(dtheta, math.pi - dtheta))
             product_resid = max(product_resid, max(0.0, 1.0 / 16.0 - rep.product_check))
         record("SQUEEZING_VARIANCE", worst_var <= 1e-8 and worst_theta <= 1e-3, worst_var)

@@ -31,8 +31,15 @@ confirms the limit; note that substituting e^{i d t} -> 1 in the numerator
 would drop the second term and does not reproduce the integral.
 
 All six double integrals I1..I6 of the second-order construction are exposed,
-together with composite-Simpson quadrature oracles that evaluate the defining
-time-ordered integrals directly.
+together with iterated composite-Simpson quadrature oracles of the defining
+time-ordered integrals over 0 <= t2 <= t1 <= t.  Every integrand, and every
+matrix element of [h_rotated(t1), h_rotated(t2)], is a sum of products
+e^{+-i x t1} e^{+-i y t2} with x, y in {delta, sigma}.  The oracles therefore
+share one pair of inner Simpson sums, E_x(t1) = sum_j w_j e^{i x t2_j} over a
+fresh grid on [0, t1] for each outer node (the sum for e^{-i x t2} is its
+conjugate, the weights being real), and finish each integral with an outer
+Simpson sum.  No closed-form antiderivative enters; tests/oracles.py keeps
+the rule that evaluates each integrand on its own full grid.
 """
 
 from __future__ import annotations
@@ -78,6 +85,8 @@ SERIES_THRESHOLD = 0.5
 _PHI_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7, -1, -1))
 # |omega - omega0| / omega below which zeta switches to the resonance limit.
 RESONANCE_THRESHOLD = 1e-8
+# Rows of the quadrature grid per chunk: ~1 MB per real temporary at n = 1024.
+_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -208,29 +217,46 @@ def _check_quad_steps(n: int) -> None:
         raise ValueError(f"quadrature step count must be even, got {n}")
 
 
-def _triangle_quadrature(fn, t: float, n: int, chunk: int = 512) -> complex:
-    """Iterated composite Simpson of fn(t1, t2) over 0 <= t2 <= t1 <= t.
+def _inner_sums(
+    params: ModelParams, t: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Outer nodes and weights with the inner Simpson sums of the two phases.
 
-    The inner integral uses a fresh n-panel grid on [0, t1] for every outer
-    node, so both directions converge at fourth order.
+    Returns (s, w, e_d, e_s): the n + 1 outer nodes s_i on [0, t], their
+    composite-Simpson weights, and E_x(s_i) = sum_j w_ij e^{i x s_i xi_j} for
+    x = delta and x = sigma, where xi_j are n + 1 equispaced nodes on [0, 1]
+    and w_ij = pattern_j s_i / n the n-panel Simpson weights on [0, s_i].
+    Each outer node gets a fresh inner grid, so both directions converge at
+    fourth order.  The real and imaginary parts are summed separately
+    (e^{i a} = cos a + i sin a), and the (n + 1)^2 grid is built
+    _CHUNK_ROWS rows at a time, so no full-size temporary exists.
     """
     pattern = _simpson_pattern(n)
+    s_nodes = np.linspace(0.0, t, n + 1)
     xi = np.linspace(0.0, 1.0, n + 1)
-    t1 = np.linspace(0.0, t, n + 1)
-    wout = pattern * (t / n)
-    total = 0.0 + 0.0j
-    for start in range(0, n + 1, chunk):
-        stop = min(start + chunk, n + 1)
-        s = t1[start:stop]
-        inner_nodes = s[:, None] * xi[None, :]
-        inner_w = pattern[None, :] * (s[:, None] / n)
-        vals = fn(s[:, None], inner_nodes)
-        total += np.sum(wout[start:stop] * np.sum(inner_w * vals, axis=1))
-    return complex(total)
+    e_d = np.empty(n + 1, dtype=complex)
+    e_s = np.empty(n + 1, dtype=complex)
+    for start in range(0, n + 1, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        s = s_nodes[rows]
+        u = s[:, None] * xi[None, :]
+        for x, out in ((params.delta, e_d), (params.sigma, e_s)):
+            arg = x * u
+            out[rows] = (s / n) * (np.cos(arg) @ pattern + 1j * (np.sin(arg) @ pattern))
+    return s_nodes, pattern * (t / n), e_d, e_s
 
 
 def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     """I1..I6 by double quadrature of their defining integrands (n panels).
+
+    Iterated composite Simpson over the triangle 0 <= t2 <= t1 <= t.  Every
+    integrand is a sum of products e^{+-i x t1} e^{+-i y t2} with x, y in
+    {delta, sigma}, so each inner sum over t2 is E_y(t1) (see _inner_sums) or,
+    for the negative phase, its complex conjugate: the Simpson weights are
+    real, so sum_j w_j e^{-i y u_j} = conj(sum_j w_j e^{i y u_j}) exactly.
+    This is the same quadrature, with the same nodes and weights, as
+    evaluating each integrand on the full (n + 1)^2 grid, summed in a
+    different order; only the two phase grids of _inner_sums are built.
 
     i3 and i4 are evaluated and stored even though their commutator
     multipliers vanish; only i1, i2, i5, i6 feed the second-order generator.
@@ -238,17 +264,27 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     _check_quad_steps(n)
-    d, s = params.delta, params.sigma
+    s_nodes, wout, e_d, e_s = _inner_sums(params, t, n)
+    # outer phases e^{i delta t1}, e^{i sigma t1}; e^{-i x t1} is their conjugate
+    p_d = np.exp(1j * params.delta * s_nodes)
+    p_s = np.exp(1j * params.sigma * s_nodes)
 
-    def e(x):
-        return np.exp(1j * x)
+    def outer(vals: np.ndarray) -> complex:
+        return complex(np.sum(wout * vals))
 
-    i1 = _triangle_quadrature(lambda t1, t2: -e(d * (t1 - t2)) + e(-d * (t1 - t2)), t, n)
-    i2 = _triangle_quadrature(lambda t1, t2: e(d * t1 + s * t2) - e(s * t1 + d * t2), t, n)
-    i3 = _triangle_quadrature(lambda t1, t2: -e(d * t1 - s * t2) + e(-(s * t1 - d * t2)), t, n)
-    i4 = _triangle_quadrature(lambda t1, t2: -e(s * t1 - d * t2) + e(-(d * t1 - s * t2)), t, n)
-    i5 = _triangle_quadrature(lambda t1, t2: e(-(d * t1 + s * t2)) - e(-(s * t1 + d * t2)), t, n)
-    i6 = _triangle_quadrature(lambda t1, t2: -e(s * (t1 - t2)) + e(-s * (t1 - t2)), t, n)
+    # each I_k's defining integrand in (t1, t2), then its outer sum
+    # I1: -e^{i d (t1 - t2)} + e^{-i d (t1 - t2)}
+    i1 = outer(-p_d * e_d.conj() + p_d.conj() * e_d)
+    # I2: e^{i (d t1 + s t2)} - e^{i (s t1 + d t2)}
+    i2 = outer(p_d * e_s - p_s * e_d)
+    # I3: -e^{i (d t1 - s t2)} + e^{-i (s t1 - d t2)}
+    i3 = outer(-p_d * e_s.conj() + p_s.conj() * e_d)
+    # I4: -e^{i (s t1 - d t2)} + e^{-i (d t1 - s t2)}
+    i4 = outer(-p_s * e_d.conj() + p_d.conj() * e_s)
+    # I5: e^{-i (d t1 + s t2)} - e^{-i (s t1 + d t2)}
+    i5 = outer(p_d.conj() * e_s.conj() - p_s.conj() * e_d.conj())
+    # I6: -e^{i s (t1 - t2)} + e^{-i s (t1 - t2)}
+    i6 = outer(-p_s * e_s.conj() + p_s.conj() * e_s)
     return IntegralSet(i1=i1, i2=i2, i3=i3, i4=i4, i5=i5, i6=i6, zeta=i2, t=t, params=params)
 
 
@@ -318,17 +354,8 @@ def omega2_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int =
     _check_quad_steps(n)
     from .jc_model import _interaction_blocks  # shared cached blocks
 
-    pattern = _simpson_pattern(n)
-    s_nodes = np.linspace(0.0, t, n + 1)
-    wout = pattern * (t / n)
-    xi = np.linspace(0.0, 1.0, n + 1)
-
     # inner Simpson sums of e^{+i d u} and e^{+i s u} over [0, s_i]
-    inner_w = pattern[None, :] * (s_nodes[:, None] / n)
-    u = s_nodes[:, None] * xi[None, :]
-    e_d = np.sum(inner_w * np.exp(1j * params.delta * u), axis=1)
-    e_s = np.sum(inner_w * np.exp(1j * params.sigma * u), axis=1)
-    del u, inner_w
+    s_nodes, wout, e_d, e_s = _inner_sums(params, t, n)
 
     ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
     g = params.g

@@ -8,7 +8,6 @@ e^{-2r}/4 at theta = arg(xi)/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .hilbert import (
     tensor,
 )
 from .jc_model import ModelParams
-from .magnus import omega2_closed, shift_rates, squeeze_params
+from .magnus import _ramp, integrals_closed, omega2_closed, shift_rates, squeeze_params
 from .propagator import u_exact, u_rwa, unitarity_defect
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "basis_state",
     "bs_phase_probe",
     "evolve",
+    "gaussian_squeeze_extrema",
     "populations",
     "quadrature_variance",
     "squeezing_report",
@@ -124,45 +124,27 @@ class SqueezingReport:
     product_check: float
 
 
-def _variance_curve(psi: StateVector):
-    """Var(X_theta) as a cheap scalar function via precomputed field moments."""
+def _min_angle(c: complex) -> float:
+    """The theta in [0, pi) that minimises Re[c e^{-2i theta}]; 0 when c = 0."""
+    return 0.0 if c == 0 else float((np.angle(c) + np.pi) / 2.0 % np.pi)
+
+
+def _variance_extrema(psi: StateVector) -> tuple[float, float, float]:
+    """(var_min, theta_min, var_max) of Var(X_theta) over theta, in closed form.
+
+    With the field moments m1 = <a>, m2 = <a^2> and nbar = <a^dag a>,
+
+        Var(X_theta) = (2 nbar + 1)/4 - |m1|^2/2 + Re[(m2 - m1^2) e^{-2i theta}]/2,
+
+    so the extrema are (2 nbar + 1)/4 - |m1|^2/2 -+ |m2 - m1^2|/2, the minimum
+    at theta = (arg(m2 - m1^2) + pi)/2 mod pi.  When m2 = m1^2 the variance
+    is the same at every angle and theta_min is 0.
+    """
     m1, m2, nbar = _field_moments(psi)
-
-    def var(theta: float) -> float:
-        second = 0.25 * (2.0 * np.real(m2 * np.exp(-2j * theta)) + 2.0 * nbar + 1.0)
-        mean = np.real(m1 * np.exp(-1j * theta))
-        return float(second - mean * mean)
-
-    return var
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fn(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def _scan_extrema(var, points: int = 360) -> tuple[float, float, float]:
-    """(var_min, theta_min, var_max) over theta in [0, pi) with refinement."""
-    thetas = np.linspace(0.0, np.pi, points, endpoint=False)
-    values = np.array([var(th) for th in thetas])
-    step = np.pi / points
-    k_min = int(np.argmin(values))
-    theta_min, var_min = _golden_min(var, thetas[k_min] - step, thetas[k_min] + step)
-    k_max = int(np.argmax(values))
-    theta_max, neg = _golden_min(lambda th: -var(th), thetas[k_max] - step, thetas[k_max] + step)
-    return var_min, theta_min % np.pi, -neg
+    c = m2 - m1 * m1
+    mid = 0.25 * (2.0 * nbar + 1.0) - 0.5 * abs(m1) ** 2
+    half = 0.5 * abs(c)
+    return mid - half, _min_angle(c), mid + half
 
 
 def squeezing_report(
@@ -170,21 +152,21 @@ def squeezing_report(
 ) -> SqueezingReport:
     """Quadrature extrema of vacuum (x) |atom> evolved under exp(Omega_2) alone.
 
-    The second-order number-shift terms act on the vacuum only through phases
-    (n|0> = 0), isolating the two-photon squeeze: the minimum variance should
-    match e^{-2r}/4 with r = g^2 |zeta|.  Needs fock_dim >= 16 so the squeezed
-    vacuum tail fits.
+    The extrema over theta are exact (see _variance_extrema).  To leading
+    order the minimum variance is e^{-2r}/4 with r = g^2 |zeta|; the number
+    phase of Omega_2 does not commute with the squeeze, and
+    gaussian_squeeze_extrema gives the exact value without a Fock cutoff.
+    Needs fock_dim >= 16 so the squeezed vacuum tail fits.
     """
     if atom not in _ATOM_INDEX:
         raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
     if spec.fock_dim < 16:
-        raise ValueError(f"fock_dim must be >= 16 for the squeezing scan, got {spec.fock_dim}")
+        raise ValueError(f"fock_dim must be >= 16 for the squeezing readout, got {spec.fock_dim}")
     sz = 1 if atom == "e" else -1
     r_pred, xi_angle = squeeze_params(params, t, sz)
     om2 = omega2_closed(params, spec, t).omega2
     psi = evolve(expm_antiherm(om2), basis_state(spec, 0, atom))
-    var = _variance_curve(psi)
-    var_min, theta_min, var_max = _scan_extrema(var)
+    var_min, theta_min, var_max = _variance_extrema(psi)
     return SqueezingReport(
         r_pred=r_pred,
         theta_pred=(0.5 * xi_angle) % np.pi,
@@ -195,6 +177,46 @@ def squeezing_report(
     )
 
 
+def gaussian_squeeze_extrema(params: ModelParams, t: float, atom: str) -> tuple[float, float]:
+    """Exact (var_min, theta_min) of vacuum (x) |atom> under exp(Omega_2), no Fock cutoff.
+
+    On the sector sigma_z = sz, Omega_2 acts on the field as
+    i phi n + (xi^* a^2 - xi a^dag^2)/2 plus a constant phase, with
+    phi = sz g^2 (f(delta, t) - f(sigma, t)) and xi = sz g^2 zeta.  The
+    generator is quadratic, so exp(Omega_2)^dag a exp(Omega_2) = mu a + nu a^dag
+    with (mu, nu) the first row of exp(M), M = [[i phi, -xi], [-xi^*, -i phi]].
+    M^2 = kappa^2 I with kappa^2 = |xi|^2 - phi^2, hence
+    exp(M) = cosh(kappa) I + sinh(kappa)/kappa M.  The evolved vacuum has
+    <a> = 0, <a^2> = mu nu and <a^dag a> = |nu|^2, so
+    var_min = (|mu| - |nu|)^2 / 4 at theta = (arg(mu nu) + pi)/2 mod pi.
+
+    e^{-2r}/4 with r = |xi| is the phi -> 0 limit of var_min: the number
+    phase does not commute with the squeeze.
+    """
+    if atom not in _ATOM_INDEX:
+        raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
+    sz = 1 if atom == "e" else -1
+    g2 = params.g * params.g
+    phi = sz * g2 * (_ramp(params.delta, t) - _ramp(params.sigma, t))
+    xi = sz * g2 * integrals_closed(params, t).zeta
+    kappa = np.sqrt(complex(abs(xi) ** 2 - phi * phi))
+    ratio = np.sinh(kappa) / kappa if kappa != 0 else 1.0
+    mu = complex(np.cosh(kappa) + ratio * 1j * phi)
+    nu = complex(-ratio * xi)
+    return 0.25 * (abs(mu) - abs(nu)) ** 2, _min_angle(mu * nu)
+
+
+def _bs_phase(
+    ue: np.ndarray, ur: np.ndarray, params: ModelParams, spec: HilbertSpec, t: float
+) -> tuple[float, float]:
+    """(measured, predicted) Bloch-Siegert phase on |0, g> from u_exact and u_rwa."""
+    idx = spec.index(0, ATOM_GROUND)
+    measured = float(np.angle(ue[idx, idx]) - np.angle(ur[idx, idx]))
+    measured = (measured + np.pi) % (2.0 * np.pi) - np.pi
+    predicted = shift_rates(params, 0, "g")[1] * t
+    return measured, predicted
+
+
 def bs_phase_probe(params: ModelParams, spec: HilbertSpec, t: float) -> tuple[float, float]:
     """Vacuum Bloch-Siegert phase on |0, g>: (measured, predicted).
 
@@ -203,10 +225,4 @@ def bs_phase_probe(params: ModelParams, spec: HilbertSpec, t: float) -> tuple[fl
     second-order shift.  predicted = bs_rate(n=0, ground) * t = g^2 t / sigma.
     Meaningful while g t / pi stays below about one half.
     """
-    ue = u_exact(params, spec, t)
-    ur = u_rwa(params, spec, t)
-    idx = spec.index(0, ATOM_GROUND)
-    measured = float(np.angle(ue[idx, idx]) - np.angle(ur[idx, idx]))
-    measured = (measured + np.pi) % (2.0 * np.pi) - np.pi
-    predicted = shift_rates(params, 0, "g")[1] * t
-    return measured, predicted
+    return _bs_phase(u_exact(params, spec, t), u_rwa(params, spec, t), params, spec, t)

@@ -44,6 +44,7 @@ __all__ = [
     "error_report",
     "phase_aligned_distance",
     "project_buffer",
+    "propagator_bundle",
     "u_exact",
     "u_magnus",
     "u_rwa",
@@ -220,6 +221,18 @@ def phase_aligned_distance(
     return min(min(values), f1, f2)
 
 
+def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> PropagatorBundle:
+    """The four propagators at one parameter point."""
+    return PropagatorBundle(
+        u_exact=u_exact(params, spec, t),
+        u_rwa=u_rwa(params, spec, t),
+        u_magnus1=u_magnus(params, spec, t, order=1),
+        u_magnus2=u_magnus(params, spec, t, order=2),
+        params=params,
+        t=t,
+    )
+
+
 def error_report(
     params: ModelParams,
     spec: HilbertSpec,
@@ -232,11 +245,8 @@ def error_report(
     The table also carries the convergence margin g t / pi.
     """
     proj = project_buffer(spec, buffer)
-    ue = u_exact(params, spec, t)
-    ur = u_rwa(params, spec, t)
-    m1 = u_magnus(params, spec, t, order=1)
-    m2 = u_magnus(params, spec, t, order=2)
-    bundle = PropagatorBundle(u_exact=ue, u_rwa=ur, u_magnus1=m1, u_magnus2=m2, params=params, t=t)
+    bundle = propagator_bundle(params, spec, t)
+    ue, ur, m1, m2 = bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2
     table = {
         "err_rwa": phase_aligned_distance(ue, ur, proj),
         "err_magnus1": phase_aligned_distance(ue, m1, proj),

@@ -3,6 +3,7 @@
 import numpy as np
 
 from jcmagnus.jc_model import h_rotated_stack, h_rwa_stack
+from jcmagnus.magnus import IntegralSet, simpson_weights
 
 
 def midpoint_product(params, spec, t: float, steps: int, rwa: bool) -> np.ndarray:
@@ -68,3 +69,32 @@ def phase_scan_distance(u1, u2, projector=None) -> float:
             x2 = lo + invphi * (hi - lo)
             f2 = dist(x2)
     return min(min(values), f1, f2)
+
+
+def triangle_quadrature(fn, t: float, n: int) -> complex:
+    """Iterated composite Simpson of fn(t1, t2) over 0 <= t2 <= t1 <= t.
+
+    The integrand is evaluated on the full (n + 1)^2 grid; the inner integral
+    uses a fresh n-panel grid on [0, t1] for every outer node.
+    """
+    t1 = np.linspace(0.0, t, n + 1)[:, None]
+    t2 = t1 * np.linspace(0.0, 1.0, n + 1)[None, :]
+    inner_w = simpson_weights(n, 1.0)[None, :] * t1
+    inner = np.sum(inner_w * fn(t1, t2), axis=1)
+    return complex(np.sum(simpson_weights(n, t) * inner))
+
+
+def integrals_triangle_rule(params, t: float, n: int) -> IntegralSet:
+    """I1..I6 with each defining integrand evaluated on its own (n + 1)^2 grid."""
+    d, s = params.delta, params.sigma
+
+    def e(x):
+        return np.exp(1j * x)
+
+    i1 = triangle_quadrature(lambda t1, t2: -e(d * (t1 - t2)) + e(-d * (t1 - t2)), t, n)
+    i2 = triangle_quadrature(lambda t1, t2: e(d * t1 + s * t2) - e(s * t1 + d * t2), t, n)
+    i3 = triangle_quadrature(lambda t1, t2: -e(d * t1 - s * t2) + e(-(s * t1 - d * t2)), t, n)
+    i4 = triangle_quadrature(lambda t1, t2: -e(s * t1 - d * t2) + e(-(d * t1 - s * t2)), t, n)
+    i5 = triangle_quadrature(lambda t1, t2: e(-(d * t1 + s * t2)) - e(-(s * t1 + d * t2)), t, n)
+    i6 = triangle_quadrature(lambda t1, t2: -e(s * (t1 - t2)) + e(-s * (t1 - t2)), t, n)
+    return IntegralSet(i1=i1, i2=i2, i3=i3, i4=i4, i5=i5, i6=i6, zeta=i2, t=t, params=params)

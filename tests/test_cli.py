@@ -5,7 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from jcmagnus import cli
 from jcmagnus.cli import SWEEP_FIELDS, RunConfig, load_config_file, main
+from jcmagnus.hilbert import HilbertSpec
+from jcmagnus.jc_model import ModelParams
+from jcmagnus.observables import bs_phase_probe
+from jcmagnus.propagator import error_report
 
 FAST = ["--fock-dim", "8", "--quad-steps", "256"]
 
@@ -211,12 +216,70 @@ def test_verify_long_time_passes(capsys):
 
 
 def test_verify_long_time_runs_every_check(capsys):
-    # t = 10 at the default g: every check runs and the propagator checks
-    # pass; the squeezing check may fail on its own (exit 1), never with an
-    # error (exit 2)
-    assert main(["verify", "--t", "10"]) in (0, 1)
+    # t = 10 at the default g: every check runs and passes, the squeezing
+    # check included (its reference is the exact Gaussian readout, which
+    # departs from e^{-2 r_pred}/4 by 4.6e-6 here)
+    assert main(["verify", "--t", "10"]) == 0
     captured = capsys.readouterr()
     assert "error:" not in captured.err
     status = dict(line.split()[:2] for line in captured.out.splitlines())
-    for name in ("UNITARITY", "ERROR_SCALING", "ERR2_LE_ERR1"):
-        assert status[name] == "PASS", name
+    assert set(status.values()) == {"PASS"}, status
+
+
+VERIFY_CHECKS = (
+    "ANTIHERMITICITY",
+    "BCH_RESIDUAL",
+    "ROTATION_CHAIN",
+    "COMMUTATOR_TABLE",
+    "INTEGRAL_CONJUGACY",
+    "INTEGRALS_CLOSED_VS_QUADRATURE",
+    "OMEGA1_CLOSED_VS_QUADRATURE",
+    "OMEGA2_CLOSED_VS_QUADRATURE",
+    "RESONANCE_LIMIT",
+    "UNITARITY",
+    "ERROR_SCALING",
+    "ERR2_LE_ERR1",
+    "SQUEEZING_VARIANCE",
+    "UNCERTAINTY_PRODUCT",
+)
+
+
+def test_verify_default_point_line_contract(capsys):
+    # every check, in this order, passes at the default configuration
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out] == [[name, "PASS"] for name in VERIFY_CHECKS]
+    for line in out:
+        assert re.match(r"^[A-Z0-9_]+ PASS \d\.\d{3}e[+-]\d{2}$", line), line
+
+
+def test_verify_error_scaling_inputs_match_error_report(monkeypatch, capsys):
+    # ERROR_SCALING fits exactly the err_magnus1 / err_magnus2 values that
+    # error_report tabulates at the same points
+    fits = []
+
+    def record(xs, ys):
+        fits.append((tuple(xs), list(ys)))
+        return real_fit(xs, ys)
+
+    real_fit = cli._fit_log2_slope
+    monkeypatch.setattr(cli, "_fit_log2_slope", record)
+    cfg = RunConfig(fock_dim=8, quad_steps=256)
+    assert cli.cmd_verify(cfg) == 0
+    capsys.readouterr()
+    (gs, err1), (gs2, err2) = fits
+    assert gs == gs2 == (0.01, 0.02, 0.04)
+    spec = HilbertSpec(cfg.fock_dim)
+    for g, e1, e2 in zip(gs, err1, err2):
+        _, table = error_report(ModelParams(cfg.omega, cfg.omega0, g), spec, cfg.t, cfg.buffer)
+        assert (e1, e2) == (table["err_magnus1"], table["err_magnus2"])
+
+
+def test_row_bs_probe_matches_public_probe():
+    # the row reads the Bloch-Siegert phase off error_report's propagators;
+    # the value is bit-identical to the stand-alone probe
+    cfg = RunConfig(fock_dim=8)
+    for omega0, g, t in ((0.9, 0.02, 20.0), (0.8, 0.05, 1.0), (1.0, 0.05, 2.5)):
+        row = cli.compute_row(cfg, omega0, g, t)
+        measured, predicted = bs_phase_probe(ModelParams(cfg.omega, omega0, g), HilbertSpec(8), t)
+        assert (row.bs_measured, row.bs_predicted) == (measured, predicted)

@@ -27,6 +27,8 @@ from jcmagnus.magnus import (
 from jcmagnus.magnus import _ramp
 from jcmagnus.propagator import project_buffer
 
+from oracles import integrals_triangle_rule
+
 # Frozen oracle values, computed with the double-Simpson quadrature of the
 # defining integrals (integrals_quadrature at n=2048 reproduces them to
 # better than 1e-12 and the closed forms to rounding).
@@ -85,6 +87,20 @@ def test_integrals_quadrature_matches_closed():
         assert abs(getattr(closed, name) - getattr(quad, name)) <= 1e-8
     # i3/i4 are finite in the quadrature path but defined 0 in the closed path
     assert np.isfinite(quad.i3.real) and np.isfinite(quad.i4.imag)
+
+
+def test_integrals_quadrature_matches_literal_triangle_rule():
+    # the separable outer/inner sums are the same double-Simpson rule as
+    # evaluating each defining integrand on its own (n + 1)^2 grid
+    for w0 in (0.8, 1.0, 1.1):
+        p = ModelParams(1.0, w0, 0.05)
+        for t in (0.5, 2.0):
+            for n in (64, 256):
+                fast = integrals_quadrature(p, t, n)
+                literal = integrals_triangle_rule(p, t, n)
+                for name in ("i1", "i2", "i3", "i4", "i5", "i6"):
+                    diff = abs(getattr(fast, name) - getattr(literal, name))
+                    assert diff <= 1e-14, (w0, t, n, name)
 
 
 def test_integral_conjugacy_and_imaginarity():

@@ -5,14 +5,15 @@ import pytest
 
 from jcmagnus.hilbert import HilbertSpec, annihilation, creation, expm_antiherm, tensor
 from jcmagnus.jc_model import ModelParams
+from jcmagnus.magnus import squeeze_params
 from jcmagnus.observables import (
     SqueezingReport,
     StateVector,
-    _scan_extrema,
-    _variance_curve,
+    _variance_extrema,
     basis_state,
     bs_phase_probe,
     evolve,
+    gaussian_squeeze_extrema,
     populations,
     quadrature_variance,
     squeezing_report,
@@ -79,7 +80,8 @@ def test_fock_one_quadrature_variance():
 
 
 def test_squeezed_vacuum_variance_matches_exponential():
-    # build exp((xi* a^2 - xi a^dag^2)/2) directly and scan the variance
+    # build exp((xi* a^2 - xi a^dag^2)/2) directly; the closed-form extrema
+    # bound a dense theta grid of the operator-level variance
     spec = HilbertSpec(24)
     r, phi = 0.1, 0.6
     xi = r * np.exp(1j * phi)
@@ -88,15 +90,15 @@ def test_squeezed_vacuum_variance_matches_exponential():
     gen = 0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad))
     squeeze = expm_antiherm(tensor(gen, np.eye(2, dtype=complex)))
     psi = evolve(squeeze, basis_state(spec, 0, "e"))
-    var_min, theta_min, var_max = _scan_extrema(_variance_curve(psi))
+    var_min, theta_min, var_max = _variance_extrema(psi)
     assert var_min == pytest.approx(math.exp(-0.2) / 4.0, abs=1e-9)
     assert var_max == pytest.approx(math.exp(0.2) / 4.0, abs=1e-9)
     assert angle_diff_mod_pi(theta_min, phi / 2.0) <= 1e-5
-    # the scan helper agrees with the public operator-level variance
-    for theta in (0.0, 0.9, theta_min):
-        assert _variance_curve(psi)(theta) == pytest.approx(
-            quadrature_variance(psi, theta), abs=1e-13
-        )
+    grid = [quadrature_variance(psi, th) for th in np.linspace(0.0, np.pi, 2001)]
+    assert var_min <= min(grid) + 1e-13 and max(grid) <= var_max + 1e-13
+    assert min(grid) - var_min <= 1e-6 and var_max - max(grid) <= 1e-6
+    assert quadrature_variance(psi, theta_min) == pytest.approx(var_min, abs=1e-13)
+    assert quadrature_variance(psi, theta_min + np.pi / 2.0) == pytest.approx(var_max, abs=1e-13)
 
 
 def test_populations_examples():
@@ -118,6 +120,8 @@ def test_squeezing_report_zero_coupling():
     assert rep.r_pred == 0.0
     assert rep.var_min == pytest.approx(0.25, abs=1e-12)
     assert rep.var_max == pytest.approx(0.25, abs=1e-12)
+    # every angle is a minimum; the readout names 0, as theta_pred does
+    assert rep.theta_min == 0.0 == rep.theta_pred
 
 
 def test_squeezing_report_requires_room():
@@ -150,6 +154,33 @@ def test_squeezing_report_atom_parity():
     assert angle_diff_mod_pi(rep_e.theta_min, rep_g.theta_min + np.pi / 2.0) <= 1e-3
     for rep in (rep_e, rep_g):
         assert angle_diff_mod_pi(rep.theta_min, rep.theta_pred) <= 1e-3
+
+
+def test_gaussian_squeeze_extrema_match_fock_readout():
+    # the 2x2 Bogoliubov form of exp(Omega_2) reproduces the truncated-Fock
+    # readout, including at t = 10 where it departs from e^{-2r}/4 by 4.6e-6
+    p = ModelParams(1.0, 0.8, 0.05)
+    spec = HilbertSpec(24)
+    for t in (1.0, 2.0, 5.0, 10.0):
+        for atom in ("e", "g"):
+            rep = squeezing_report(p, spec, t, atom)
+            var_min, theta_min = gaussian_squeeze_extrema(p, t, atom)
+            assert abs(rep.var_min - var_min) <= 1e-15, (t, atom)
+            assert angle_diff_mod_pi(rep.theta_min, theta_min) <= 1e-10, (t, atom)
+    assert gaussian_squeeze_extrema(ModelParams(1.0, 0.8, 0.0), 1.0, "e") == (0.25, 0.0)
+    with pytest.raises(ValueError, match="atom"):
+        gaussian_squeeze_extrema(p, 1.0, "q")
+
+
+def test_gaussian_squeeze_extrema_reduce_to_paper_prediction():
+    # at t = 1 the number phase is negligible and the exact minimum is the
+    # paper's e^{-2r}/4 with r = g^2 |zeta|, at theta = arg(xi)/2
+    p = ModelParams(1.0, 0.8, 0.05)
+    for atom, sz in (("e", 1), ("g", -1)):
+        r, xi_angle = squeeze_params(p, 1.0, sz)
+        var_min, theta_min = gaussian_squeeze_extrema(p, 1.0, atom)
+        assert abs(var_min - 0.25 * math.exp(-2.0 * r)) <= 2e-11
+        assert angle_diff_mod_pi(theta_min, 0.5 * xi_angle) <= 1e-3
 
 
 def test_uncertainty_product_for_evolved_states():
