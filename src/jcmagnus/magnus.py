@@ -21,25 +21,41 @@ The i g^2 f(d,t) n sz piece is the photon-number-dependent AC-Stark shift, the
 i g^2 f(s,t) n sz piece the Bloch-Siegert shift, and the zeta term a two-photon
 squeeze generator whose amplitude per atom sector is xi = g^2 zeta sz.
 
-zeta has a removable singularity on resonance.  Its analytic limit,
+zeta has a removable singularity on resonance.  With 2 omega = sigma + delta
+the numerator regroups into phase ramps,
+
+  zeta(t) = [2 c(2 omega, t) - c(d, t) (1 + e^{i s t})] / s,
+
+which has no 1/d left and reduces to the resonance limit
 
   zeta -> (1 - e^{2 i omega t}) / (omega (omega + omega0))
-          + i t (1 + e^{2 i omega t}) / (omega + omega0),
+          + i t (1 + e^{2 i omega t}) / (omega + omega0)
 
-is used inside a narrow branch window.  The quadrature oracle in this module
-confirms the limit; note that substituting e^{i d t} -> 1 in the numerator
-would drop the second term and does not reproduce the integral.
+at d = 0 exactly, so one formula serves every detuning.  The quadrature
+oracle in this module confirms the limit; note that substituting
+e^{i d t} -> 1 in the original numerator would drop the second term and does
+not reproduce the integral.
 
 All six double integrals I1..I6 of the second-order construction are exposed,
 together with iterated composite-Simpson quadrature oracles of the defining
-time-ordered integrals over 0 <= t2 <= t1 <= t.  Every integrand, and every
-matrix element of [h_rotated(t1), h_rotated(t2)], is a sum of products
-e^{+-i x t1} e^{+-i y t2} with x, y in {delta, sigma}.  The oracles therefore
-share one pair of inner Simpson sums, E_x(t1) = sum_j w_j e^{i x t2_j} over a
-fresh grid on [0, t1] for each outer node (the sum for e^{-i x t2} is its
-conjugate, the weights being real), and finish each integral with an outer
-Simpson sum.  No closed-form antiderivative enters; tests/oracles.py keeps
-the rule that evaluates each integrand on its own full grid.
+time-ordered integrals over 0 <= t2 <= t1 <= t.  Every integrand is a sum of
+products e^{+-i x t1} e^{+-i y t2} with x, y in {delta, sigma}.  The oracles
+therefore share one pair of inner Simpson sums, E_x(t1) = sum_j w_j e^{i x t2_j}
+over a fresh grid on [0, t1] for each outer node (the sum for e^{-i x t2} is
+its conjugate, the weights being real), and finish each integral with an
+outer Simpson sum.  No closed-form antiderivative enters; tests/oracles.py
+keeps the rule that evaluates each integrand on its own full grid.
+
+The operator oracles need no operator-valued time stacks.  h_rotated(t) is
+g sum_i c_i(t) B_i over the four constant coupling blocks B_i, so by
+bilinearity of the commutator
+
+  -1/2 int int [h(t1), h(t2)] = (g^2/2) sum_k I_k C_k,
+
+where C_k are the six block commutators in the order of commutator_table,
+each computed directly.  The same nodes and weights give Omega_2 from the
+quadrature I_k and Omega_1 from two scalar Simpson sums of e^{i d u} and
+e^{i s u}; only the summation order differs from stacking h_rotated.
 """
 
 from __future__ import annotations
@@ -57,12 +73,11 @@ from .hilbert import (
     pauli,
     tensor,
 )
-from .jc_model import ModelParams, h_rotated_stack
+from .jc_model import ModelParams, _interaction_blocks
 
 __all__ = [
     "IntegralSet",
     "MagnusTerms",
-    "RESONANCE_THRESHOLD",
     "SERIES_THRESHOLD",
     "commutator_table",
     "convergence_margin",
@@ -72,7 +87,6 @@ __all__ = [
     "omega1_quadrature",
     "omega2_closed",
     "omega2_quadrature",
-    "on_resonance_branch",
     "shift_rates",
     "squeeze_params",
     "zeta_resonance_limit",
@@ -83,8 +97,6 @@ SERIES_THRESHOLD = 0.5
 # Taylor coefficients (-1)^k / (2k + 3)! of (u - sin u) / u^3 in powers of
 # u^2, highest power first for Horner evaluation.
 _PHI_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7, -1, -1))
-# |omega - omega0| / omega below which zeta switches to the resonance limit.
-RESONANCE_THRESHOLD = 1e-8
 # Rows of the quadrature grid per chunk: ~1 MB per real temporary at n = 1024.
 _CHUNK_ROWS = 128
 
@@ -149,11 +161,6 @@ def _phase_ramp(x: float, t: float) -> complex:
     return -1j * t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
 
 
-def on_resonance_branch(params: ModelParams) -> bool:
-    """Whether zeta evaluation falls into the resonance-limit branch."""
-    return abs(params.delta) < RESONANCE_THRESHOLD * params.omega
-
-
 def zeta_resonance_limit(params: ModelParams, t: float) -> complex:
     """Analytic limit of zeta as omega0 -> omega (finite: no divergence)."""
     w = params.omega
@@ -163,16 +170,17 @@ def zeta_resonance_limit(params: ModelParams, t: float) -> complex:
 
 
 def _zeta_closed(params: ModelParams, t: float) -> complex:
-    if on_resonance_branch(params):
-        return zeta_resonance_limit(params, t)
-    w, w0 = params.omega, params.omega0
-    num = (
-        w0 * np.exp(2j * w * t)
-        - w * np.exp(1j * params.sigma * t)
-        + w * np.exp(1j * params.delta * t)
-        - w0
-    )
-    return num / (w * (w * w - w0 * w0))
+    """zeta = [2 c(2 omega, t) - c(delta, t) (1 + e^{i sigma t})] / sigma.
+
+    The defining quotient with 2 omega = sigma + delta substituted: no
+    1/delta remains, so one expression holds for every detuning, resonance
+    included, where it equals zeta_resonance_limit.
+    """
+    s = params.sigma
+    return (
+        2.0 * _phase_ramp(2.0 * params.omega, t)
+        - _phase_ramp(params.delta, t) * (1.0 + np.exp(1j * s * t))
+    ) / s
 
 
 def integrals_closed(params: ModelParams, t: float) -> IntegralSet:
@@ -258,8 +266,8 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     evaluating each integrand on the full (n + 1)^2 grid, summed in a
     different order; only the two phase grids of _inner_sums are built.
 
-    i3 and i4 are evaluated and stored even though their commutator
-    multipliers vanish; only i1, i2, i5, i6 feed the second-order generator.
+    i3 and i4 are evaluated and stored even though their block commutators
+    vanish exactly, so only i1, i2, i5, i6 change the second-order generator.
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
@@ -290,18 +298,10 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
 
 def omega1_closed(params: ModelParams, spec: HilbertSpec, t: float) -> MagnusTerms:
     """First-order generator, anti-Hermitian by construction."""
-    a = annihilation(spec)
-    ad = creation(spec)
-    sm, sp = pauli("minus"), pauli("plus")
-    g = params.g
+    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
     cd = _phase_ramp(params.delta, t)
     cs = _phase_ramp(params.sigma, t)
-    om1 = 1j * g * (
-        cd * tensor(ad, sm)
-        + np.conj(cd) * tensor(a, sp)
-        + cs * tensor(ad, sp)
-        + np.conj(cs) * tensor(a, sm)
-    )
+    om1 = 1j * params.g * (cd * ad_sm + np.conj(cd) * a_sp + cs * ad_sp + np.conj(cs) * a_sm)
     return MagnusTerms(omega1=om1, omega2=None, t=t, params=params, provenance="closed_form")
 
 
@@ -327,47 +327,55 @@ def omega2_closed(params: ModelParams, spec: HilbertSpec, t: float) -> MagnusTer
 
 
 def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> MagnusTerms:
-    """Oracle: -i times the Simpson integral of h_rotated over [0, t]."""
+    """Oracle: -i times the Simpson integral of h_rotated over [0, t].
+
+    h_rotated is g times a fixed combination of the four coupling blocks
+    with phases e^{+-i delta s} and e^{+-i sigma s}, so the integral is the
+    blocks weighted by the two Simpson sums sum_k w_k e^{i x s_k}
+    (conjugated for the negative phases, the weights being real).
+    """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     _check_quad_steps(n)
     ts = np.linspace(0.0, t, n + 1)
     w = simpson_weights(n, t)
-    stack = h_rotated_stack(params, spec, ts)
-    om1 = -1j * np.einsum("i,iab->ab", w, stack)
+    sd = complex(np.sum(w * np.exp(1j * params.delta * ts)))
+    ss = complex(np.sum(w * np.exp(1j * params.sigma * ts)))
+    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
+    # -i g (i S_d ad_sm - i S_d^* a_sp + i S_s ad_sp - i S_s^* a_sm)
+    om1 = params.g * (sd * ad_sm - np.conj(sd) * a_sp + ss * ad_sp - np.conj(ss) * a_sm)
     return MagnusTerms(omega1=om1, omega2=None, t=t, params=params, provenance="quadrature")
+
+
+def _block_commutators(spec: HilbertSpec) -> list[np.ndarray]:
+    """The six direct commutators of the coupling blocks, in commutator_table order."""
+    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
+    pairs = ((ad_sm, a_sp), (ad_sm, ad_sp), (ad_sm, a_sm), (ad_sp, a_sp), (a_sp, a_sm), (ad_sp, a_sm))
+    return [x @ y - y @ x for x, y in pairs]
+
+
+def _omega2_from_integrals(ints: IntegralSet, spec: HilbertSpec) -> np.ndarray:
+    """(g^2/2) sum_k I_k C_k: the second-order generator from the six integrals.
+
+    By bilinearity of the commutator this is -1/2 times the double integral
+    of [h_rotated(t1), h_rotated(t2)] for whatever rule produced the I_k.
+    """
+    coeffs = (ints.i1, ints.i2, ints.i3, ints.i4, ints.i5, ints.i6)
+    g2 = ints.params.g * ints.params.g
+    return 0.5 * g2 * sum(c * comm for c, comm in zip(coeffs, _block_commutators(spec)))
 
 
 def omega2_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> MagnusTerms:
     """Oracle: -1/2 times the double quadrature of [h_rotated(t1), h_rotated(t2)].
 
-    Iterated composite Simpson over the triangle 0 <= t2 <= t1 <= t.  The
-    inner integral commutes past the fixed t1 factor (the commutator is
-    bilinear), so for each outer node only one matrix commutator with the
-    inner Simpson sum of h_rotated is needed.  The inner sums reduce to
-    scalar Simpson sums of the four oscillatory phases because h_rotated is a
-    fixed linear combination of four constant blocks; no closed-form
-    antiderivative or operator identity enters.
+    Iterated composite Simpson over the triangle 0 <= t2 <= t1 <= t.
+    h_rotated is g times a fixed combination of four constant blocks, so the
+    commutator integral is (g^2/2) sum_k I_k C_k with the quadrature
+    integrals of integrals_quadrature and the six block commutators C_k
+    computed directly; no closed-form antiderivative or operator identity
+    enters.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    _check_quad_steps(n)
-    from .jc_model import _interaction_blocks  # shared cached blocks
-
-    # inner Simpson sums of e^{+i d u} and e^{+i s u} over [0, s_i]
-    s_nodes, wout, e_d, e_s = _inner_sums(params, t, n)
-
-    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
-    g = params.g
-    inner = g * (
-        1j * e_d[:, None, None] * ad_sm
-        - 1j * e_d.conj()[:, None, None] * a_sp
-        + 1j * e_s[:, None, None] * ad_sp
-        - 1j * e_s.conj()[:, None, None] * a_sm
-    )
-    outer = h_rotated_stack(params, spec, s_nodes)
-    comms = outer @ inner - inner @ outer
-    om2 = -0.5 * np.einsum("i,iab->ab", wout, comms)
+    om2 = _omega2_from_integrals(integrals_quadrature(params, t, n), spec)
     return MagnusTerms(omega1=None, omega2=om2, t=t, params=params, provenance="quadrature")
 
 
@@ -381,27 +389,19 @@ def commutator_table(spec: HilbertSpec) -> list[tuple[str, np.ndarray, np.ndarra
     a = annihilation(spec)
     ad = creation(spec)
     eye_f = np.eye(spec.fock_dim, dtype=complex)
-    sm, sp, sz = pauli("minus"), pauli("plus"), pauli("z")
+    sz = pauli("z")
     n_sz = tensor(number(spec), sz)
     pe = tensor(eye_f, pauli("proj_e"))
     pg = tensor(eye_f, pauli("proj_g"))
     zero = np.zeros((spec.dim, spec.dim), dtype=complex)
-
-    ad_sm = tensor(ad, sm)
-    a_sp = tensor(a, sp)
-    ad_sp = tensor(ad, sp)
-    a_sm = tensor(a, sm)
-
-    def comm(x, y):
-        return x @ y - y @ x
-
+    direct = _block_commutators(spec)
     return [
-        ("[ad sm, a sp]", comm(ad_sm, a_sp), -(n_sz + pe)),
-        ("[ad sm, ad sp]", comm(ad_sm, ad_sp), -tensor(ad @ ad, sz)),
-        ("[ad sm, a sm]", comm(ad_sm, a_sm), zero.copy()),
-        ("[ad sp, a sp]", comm(ad_sp, a_sp), zero.copy()),
-        ("[a sp, a sm]", comm(a_sp, a_sm), tensor(a @ a, sz)),
-        ("[ad sp, a sm]", comm(ad_sp, a_sm), n_sz - pg),
+        ("[ad sm, a sp]", direct[0], -(n_sz + pe)),
+        ("[ad sm, ad sp]", direct[1], -tensor(ad @ ad, sz)),
+        ("[ad sm, a sm]", direct[2], zero.copy()),
+        ("[ad sp, a sp]", direct[3], zero.copy()),
+        ("[a sp, a sm]", direct[4], tensor(a @ a, sz)),
+        ("[ad sp, a sm]", direct[5], n_sz - pg),
     ]
 
 

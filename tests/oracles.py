@@ -71,6 +71,12 @@ def phase_scan_distance(u1, u2, projector=None) -> float:
     return min(min(values), f1, f2)
 
 
+def omega1_stack_rule(params, spec, t: float, n: int) -> np.ndarray:
+    """-i times the composite-Simpson sum of h_rotated over its n + 1 nodes on [0, t]."""
+    ts = np.linspace(0.0, t, n + 1)
+    return -1j * np.einsum("i,iab->ab", simpson_weights(n, t), h_rotated_stack(params, spec, ts))
+
+
 def triangle_quadrature(fn, t: float, n: int) -> complex:
     """Iterated composite Simpson of fn(t1, t2) over 0 <= t2 <= t1 <= t.
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from jcmagnus import cli
+from jcmagnus import cli, magnus
 from jcmagnus.cli import SWEEP_FIELDS, RunConfig, load_config_file, main
 from jcmagnus.hilbert import HilbertSpec
 from jcmagnus.jc_model import ModelParams
@@ -25,6 +25,10 @@ def test_config_validation_names_field():
         RunConfig(quad_steps=63).validate()
     with pytest.raises(ValueError, match="g "):
         RunConfig(g=-0.1).validate()
+    with pytest.raises(ValueError, match="omega "):
+        RunConfig(omega=float("nan")).validate()
+    with pytest.raises(ValueError, match="g "):
+        RunConfig(g=float("inf")).validate()
     with pytest.raises(ValueError, match="omega0_grid"):
         RunConfig(omega0_grid=(0.5, -1.0)).validate()
 
@@ -76,10 +80,13 @@ def test_report_zero_coupling(capsys):
 
 
 def test_report_flags_resonance_branch(capsys):
+    # on resonance the one zeta formula prints the analytic limit
     lines = _report_lines(capsys, ["--omega0", "1.0", *FAST])
-    assert any("zeta_branch = resonance (resonance branch)" in ln for ln in lines)
-    lines = _report_lines(capsys, FAST)
-    assert any(ln == "zeta_branch = closed" for ln in lines)
+    values = dict(ln.split(" = ", 1) for ln in lines if " = " in ln)
+    limit = magnus.zeta_resonance_limit(ModelParams(1.0, 1.0, 0.05), 1.0)
+    got = complex(float(values["zeta_re"]), float(values["zeta_im"]))
+    assert abs(got - limit) <= 1e-15 * abs(limit)
+    assert "zeta_branch" not in values
 
 
 def test_single_point_sweep_matches_report(tmp_path, capsys):
@@ -201,7 +208,7 @@ def test_readme_long_time_report(capsys):
     values = {}
     for line in lines:
         name, sep, value = line.partition(" = ")
-        if sep and name != "zeta_branch":
+        if sep:
             values[name] = float(value)
     assert set(SWEEP_FIELDS) <= set(values)
     assert all(math.isfinite(values[name]) for name in SWEEP_FIELDS)
@@ -273,6 +280,22 @@ def test_verify_error_scaling_inputs_match_error_report(monkeypatch, capsys):
     for g, e1, e2 in zip(gs, err1, err2):
         _, table = error_report(ModelParams(cfg.omega, cfg.omega0, g), spec, cfg.t, cfg.buffer)
         assert (e1, e2) == (table["err_magnus1"], table["err_magnus2"])
+
+
+def test_verify_builds_inner_sums_once(monkeypatch, capsys):
+    # the Omega_2 oracle reuses the integrals of the INTEGRAL checks, so one
+    # verify builds the inner Simpson sums exactly once
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return real_inner_sums(*args)
+
+    real_inner_sums = magnus._inner_sums
+    monkeypatch.setattr(magnus, "_inner_sums", record)
+    assert cli.cmd_verify(RunConfig()) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_row_bs_probe_matches_public_probe():

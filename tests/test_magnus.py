@@ -18,16 +18,15 @@ from jcmagnus.magnus import (
     omega1_quadrature,
     omega2_closed,
     omega2_quadrature,
-    on_resonance_branch,
     shift_rates,
     simpson_weights,
     squeeze_params,
     zeta_resonance_limit,
 )
-from jcmagnus.magnus import _ramp
+from jcmagnus.magnus import _ramp, _zeta_closed
 from jcmagnus.propagator import project_buffer
 
-from oracles import integrals_triangle_rule
+from oracles import integrals_triangle_rule, omega1_stack_rule
 
 # Frozen oracle values, computed with the double-Simpson quadrature of the
 # defining integrals (integrals_quadrature at n=2048 reproduces them to
@@ -134,16 +133,47 @@ def test_quadrature_rejects_small_or_odd_n():
 
 
 def test_zeta_resonance_branch_and_limit():
+    # one formula for every detuning: at delta = 0 it is the resonance limit,
+    # and within 1e-9 of resonance it moves by O(delta t) only
     res = ModelParams(1.0, 1.0, 0.05)
-    assert on_resonance_branch(res)
     assert integrals_closed(res, 1.0).zeta == pytest.approx(ZETA_RES_T1, abs=1e-14)
     assert zeta_resonance_limit(res, 1.0) == pytest.approx(ZETA_RES_T1, abs=1e-14)
+    for t in (0.5, 1.0, 2.0):
+        limit = zeta_resonance_limit(ModelParams(1.0, 1.0, 0.05), t)
+        assert abs(_zeta_closed(res, t) - limit) <= 1e-15 * abs(limit)
+        for w0 in (1.0 - 1e-9, 1.0 + 1e-9):
+            near = integrals_closed(ModelParams(1.0, w0, 0.05), t).zeta
+            assert abs(near - limit) <= 1e-8 * abs(limit)
     # quadrature cross-check just off resonance
     for w0 in (1.0 - 1e-6, 1.0 + 1e-6):
         p = ModelParams(1.0, w0, 0.05)
-        assert not on_resonance_branch(p)
         quad = integrals_quadrature(p, 1.0, 1024).zeta
         assert abs(quad - ZETA_RES_T1) <= 1e-5 * abs(ZETA_RES_T1)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_zeta_relative_accuracy(t):
+    # the branch-free zeta against 50-digit arithmetic of its defining
+    # quotient, through resonance (delta = 0 takes the analytic limit)
+    mpmath = pytest.importorskip("mpmath")
+    deltas = [0.0] + [sign * 10.0**-k for k in range(1, 10) for sign in (1.0, -1.0)]
+    with mpmath.workdps(50):
+        for delta in deltas:
+            p = ModelParams(1.0, 1.0 - delta, 0.05)
+            w, w0, tm = mpmath.mpf(p.omega), mpmath.mpf(p.omega0), mpmath.mpf(t)
+            if w == w0:
+                e2 = mpmath.expj(2 * w * tm)
+                want = (1 - e2) / (w * (w + w0)) + 1j * tm * (1 + e2) / (w + w0)
+            else:
+                num = (
+                    w0 * mpmath.expj(2 * w * tm)
+                    - w * mpmath.expj((w + w0) * tm)
+                    + w * mpmath.expj((w - w0) * tm)
+                    - w0
+                )
+                want = num / (w * (w * w - w0 * w0))
+            got = integrals_closed(p, t).zeta
+            assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want), delta
 
 
 def test_zeta_resonance_continuity():
@@ -182,6 +212,18 @@ def test_omega1_closed_vs_quadrature():
     assert omega1_closed(p, spec, 1.0).provenance == "closed_form"
 
 
+def test_omega1_quadrature_matches_stack_rule():
+    # the two scalar Simpson sums weight the same nodes as -i sum_k w_k h(t_k)
+    for fock in (6, 12):
+        spec = HilbertSpec(fock)
+        for w0 in (0.8, 1.0, 1.1):
+            p = ModelParams(1.0, w0, 0.05)
+            for t in (0.5, 2.0):
+                fast = omega1_quadrature(p, spec, t, 1024).omega1
+                stack = omega1_stack_rule(p, spec, t, 1024)
+                assert spectral_norm(fast - stack) <= 1e-13 * spectral_norm(stack), (fock, w0, t)
+
+
 def test_omega1_resonance_branch_continuity():
     # (1 - e^{i d t})/d -> -i t as d -> 0; the evaluation is continuous there
     spec = HilbertSpec(6)
@@ -210,27 +252,29 @@ def test_omega2_closed_vs_quadrature_buffered():
 
 
 def test_omega2_quadrature_matches_literal_triangle_rule():
-    # independent cross-check of the vectorized oracle: plain double loop over
-    # h_rotated values with composite-Simpson weights in both directions
+    # independent cross-check of the bilinear oracle: plain double loop over
+    # h_rotated values with composite-Simpson weights in both directions,
+    # below, on and above resonance
     spec = HilbertSpec(6)
-    p = ModelParams(1.0, 0.8, 0.05)
     t, n = 1.0, 128
     outer_nodes = np.linspace(0.0, t, n + 1)
     wout = simpson_weights(n, t)
-    total = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for i, t1 in enumerate(outer_nodes):
-        if t1 == 0.0:
-            continue
-        win = simpson_weights(n, t1)
-        inner = np.zeros_like(total)
-        h1 = h_rotated(p, spec, float(t1))
-        for j, t2 in enumerate(np.linspace(0.0, t1, n + 1)):
-            h2 = h_rotated(p, spec, float(t2))
-            inner += win[j] * (h1 @ h2 - h2 @ h1)
-        total += wout[i] * inner
-    literal = -0.5 * total
-    fast = omega2_quadrature(p, spec, t, n).omega2
-    assert spectral_norm(fast - literal) <= 1e-12
+    for w0 in (0.8, 1.0, 1.1):
+        p = ModelParams(1.0, w0, 0.05)
+        total = np.zeros((spec.dim, spec.dim), dtype=complex)
+        for i, t1 in enumerate(outer_nodes):
+            if t1 == 0.0:
+                continue
+            win = simpson_weights(n, t1)
+            inner = np.zeros_like(total)
+            h1 = h_rotated(p, spec, float(t1))
+            for j, t2 in enumerate(np.linspace(0.0, t1, n + 1)):
+                h2 = h_rotated(p, spec, float(t2))
+                inner += win[j] * (h1 @ h2 - h2 @ h1)
+            total += wout[i] * inner
+        literal = -0.5 * total
+        fast = omega2_quadrature(p, spec, t, n).omega2
+        assert spectral_norm(fast - literal) <= 1e-12, w0
 
 
 def test_omega2_resonance_branch_continuity():
