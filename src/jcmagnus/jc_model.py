@@ -97,6 +97,25 @@ def _interaction_blocks(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
     return blocks
 
 
+@lru_cache(maxsize=16)
+def _second_order_operators(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
+    """The operators of the second-order generator (n sz, P_e, P_g, a^2 sz, a^dag^2 sz)."""
+    a = annihilation(spec)
+    ad = creation(spec)
+    eye_f = np.eye(spec.fock_dim, dtype=complex)
+    sz = pauli("z")
+    ops = (
+        tensor(number(spec), sz),
+        tensor(eye_f, pauli("proj_e")),
+        tensor(eye_f, pauli("proj_g")),
+        tensor(a @ a, sz),
+        tensor(ad @ ad, sz),
+    )
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def h_full(params: ModelParams, spec: HilbertSpec) -> np.ndarray:
     """Lab-frame Hamiltonian: field + atom + dipole interaction."""
     a = annihilation(spec)

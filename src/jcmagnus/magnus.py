@@ -34,7 +34,8 @@ which has no 1/d left and reduces to the resonance limit
 at d = 0 exactly, so one formula serves every detuning.  The quadrature
 oracle in this module confirms the limit; note that substituting
 e^{i d t} -> 1 in the original numerator would drop the second term and does
-not reproduce the integral.
+not reproduce the integral.  Below sigma t = 1 the formula's O(t) terms
+cancel, and zeta is summed from the Taylor series of its integrand instead.
 
 All six double integrals I1..I6 of the second-order construction are exposed,
 together with iterated composite-Simpson quadrature oracles of the defining
@@ -65,15 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    HilbertSpec,
-    annihilation,
-    creation,
-    number,
-    pauli,
-    tensor,
-)
-from .jc_model import ModelParams, _interaction_blocks
+from .hilbert import HilbertSpec
+from .jc_model import ModelParams, _interaction_blocks, _second_order_operators
 
 __all__ = [
     "IntegralSet",
@@ -97,6 +91,14 @@ SERIES_THRESHOLD = 0.5
 # Taylor coefficients (-1)^k / (2k + 3)! of (u - sin u) / u^3 in powers of
 # u^2, highest power first for Horner evaluation.
 _PHI_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7, -1, -1))
+# Triangle integrals of the Taylor terms of zeta's integrand, exponents
+# (a, b) of (i delta t1)^a (i sigma t2)^b through total order 20:
+# i^(a+b) / (a! b! (b+1) (a+b+2)).  Order 0 cancels.
+_ZETA_TERMS = [(a, m - a) for m in range(1, 21) for a in range(m + 1)]
+_ZETA_A, _ZETA_B = np.array(_ZETA_TERMS).T
+_ZETA_COEF = np.array(
+    [1j ** (a + b) / (math.factorial(a) * math.factorial(b) * (b + 1) * (a + b + 2)) for a, b in _ZETA_TERMS]
+)
 # Rows of the quadrature grid per chunk: ~1 MB per real temporary at n = 1024.
 _CHUNK_ROWS = 128
 
@@ -175,8 +177,23 @@ def _zeta_closed(params: ModelParams, t: float) -> complex:
     The defining quotient with 2 omega = sigma + delta substituted: no
     1/delta remains, so one expression holds for every detuning, resonance
     included, where it equals zeta_resonance_limit.
+
+    Its O(t) terms cancel to the O(t^3) value of zeta, so below
+    sigma t = 2 SERIES_THRESHOLD zeta is summed from the Taylor series of
+    its integrand instead: with x = delta t and y = sigma t, the term
+    t1^a t2^b of e^{i (delta t1 + sigma t2)} - e^{i (sigma t1 + delta t2)}
+    integrates over the triangle 0 <= t2 <= t1 <= t to
+    t^{a+b+2} / ((b+1) (a+b+2)), so
+
+        zeta = t^2 sum_{a,b} i^{a+b} (x^a y^b - y^a x^b) / (a! b! (b+1) (a+b+2)).
+
+    Summed through order 20, it is within 3e-15 relative of 60-digit
+    arithmetic across the series region for omega0 / omega from 0.01 to 20.
     """
     s = params.sigma
+    if s * t < 2.0 * SERIES_THRESHOLD:
+        x, y = params.delta * t, s * t
+        return complex(t * t * np.dot(_ZETA_COEF, x**_ZETA_A * y**_ZETA_B - y**_ZETA_A * x**_ZETA_B))
     return (
         2.0 * _phase_ramp(2.0 * params.omega, t)
         - _phase_ramp(params.delta, t) * (1.0 + np.exp(1j * s * t))
@@ -307,13 +324,7 @@ def omega1_closed(params: ModelParams, spec: HilbertSpec, t: float) -> MagnusTer
 
 def omega2_closed(params: ModelParams, spec: HilbertSpec, t: float) -> MagnusTerms:
     """Second-order generator: Stark and Bloch-Siegert shifts plus squeezing."""
-    a = annihilation(spec)
-    ad = creation(spec)
-    eye_f = np.eye(spec.fock_dim, dtype=complex)
-    sz = pauli("z")
-    n_sz = tensor(number(spec), sz)
-    pe = tensor(eye_f, pauli("proj_e"))
-    pg = tensor(eye_f, pauli("proj_g"))
+    n_sz, pe, pg, a2_sz, ad2_sz = _second_order_operators(spec)
     g2 = params.g * params.g
     fd = _ramp(params.delta, t)
     fs = _ramp(params.sigma, t)
@@ -321,7 +332,7 @@ def omega2_closed(params: ModelParams, spec: HilbertSpec, t: float) -> MagnusTer
     om2 = (
         1j * g2 * fd * (n_sz + pe)
         + 1j * g2 * fs * (-n_sz + pg)
-        + 0.5 * g2 * (np.conj(zeta) * tensor(a @ a, sz) - zeta * tensor(ad @ ad, sz))
+        + 0.5 * g2 * (np.conj(zeta) * a2_sz - zeta * ad2_sz)
     )
     return MagnusTerms(omega1=None, omega2=om2, t=t, params=params, provenance="closed_form")
 
@@ -386,21 +397,15 @@ def commutator_table(spec: HilbertSpec) -> list[tuple[str, np.ndarray, np.ndarra
     the entries that never touch [a, a^dag]; the others agree away from the
     top Fock level, i.e. on any buffered subspace.
     """
-    a = annihilation(spec)
-    ad = creation(spec)
-    eye_f = np.eye(spec.fock_dim, dtype=complex)
-    sz = pauli("z")
-    n_sz = tensor(number(spec), sz)
-    pe = tensor(eye_f, pauli("proj_e"))
-    pg = tensor(eye_f, pauli("proj_g"))
+    n_sz, pe, pg, a2_sz, ad2_sz = _second_order_operators(spec)
     zero = np.zeros((spec.dim, spec.dim), dtype=complex)
     direct = _block_commutators(spec)
     return [
         ("[ad sm, a sp]", direct[0], -(n_sz + pe)),
-        ("[ad sm, ad sp]", direct[1], -tensor(ad @ ad, sz)),
+        ("[ad sm, ad sp]", direct[1], -ad2_sz),
         ("[ad sm, a sm]", direct[2], zero.copy()),
         ("[ad sp, a sp]", direct[3], zero.copy()),
-        ("[a sp, a sm]", direct[4], tensor(a @ a, sz)),
+        ("[a sp, a sm]", direct[4], a2_sz.copy()),
         ("[ad sp, a sm]", direct[5], n_sz - pg),
     ]
 

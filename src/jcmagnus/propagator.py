@@ -24,11 +24,18 @@ zero.
 
 Error comparisons are phase-aligned spectral-norm distances restricted to a
 buffered Fock subspace, because ladder truncation corrupts the top levels and
-two propagators may differ by a physically irrelevant global phase.
+two propagators may differ by a physically irrelevant global phase.  The
+minimum over the phase is located by a coarse scan of a certified arc and
+refined with exact first and second derivatives of the top singular values:
+Newton steps at a smooth minimum, branch intersections at a kink where the
+two largest singular values cross (Lewis & Overton, Acta Numerica 5 (1996)
+149), each guarded by a bisection bracket, so distances are exact to
+rounding.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,9 +62,10 @@ __all__ = [
 # second-order objects by up to two, so two guard levels quarantine the
 # truncation edge.
 DEFAULT_BUFFER = 2
-# Coarse-scan spacing and golden-section bracket width of the phase search.
+# Coarse-scan spacing of the phase search, and the step, in ulps of phi, at
+# which its refinement stops.
 _PHASE_STEP = 2.0 * math.pi / 96
-_PHASE_TOL = 1e-10
+_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,69 @@ def _kept_indices(projector: np.ndarray) -> np.ndarray:
     return np.flatnonzero(diag)
 
 
+def _top_branches(x: np.ndarray, y: np.ndarray, z: complex) -> list[tuple[float, float, float]]:
+    """(sigma_k, sigma_k', sigma_k'') of the two largest singular values of x - z y.
+
+    Derivatives are in phi with z = e^{i phi}: M' = -i z y and M'' = i M'.
+    With K = U^dag M' V from one full SVD,
+
+        sigma_k'  = Re K_kk,
+        sigma_k'' = Re(i K_kk) + sum_{j != k} |K_jk + conj(K_kj)|^2 / (2 (sigma_k - sigma_j))
+                               + sum_j |K_jk - conj(K_kj)|^2 / (2 (sigma_k + sigma_j)),
+
+    the second-order perturbation of the eigenvalue sigma_k of the Hermitian
+    dilation [[0, M], [M^dag, 0]].  Terms with a zero denominator (exact ties
+    and pairs of zero singular values) are dropped: their numerators vanish
+    along the analytic branches.
+    """
+    u, s, vh = np.linalg.svd(x - z * y)
+    dm = -1j * z * y
+    top = min(2, s.size)
+    col = u.conj().T @ (dm @ vh[:top].conj().T)  # K_jk for the top k
+    row = ((u[:, :top].conj().T @ dm) @ vh.conj().T).T.conj()  # conj(K_kj)
+    kk = np.diagonal(col)
+    curv = -kk.imag
+    for num, den in (
+        (np.abs(col + row) ** 2, s[:top] - s[:, None]),
+        (np.abs(col - row) ** 2, s[:top] + s[:, None]),
+    ):
+        curv = curv + np.sum(np.divide(num, 2.0 * den, out=np.zeros(num.shape), where=den != 0), axis=0)
+    return list(zip(s[:top].tolist(), kk.real.tolist(), curv.tolist()))
+
+
+def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
+    """Step h to the local minimum nearest 0 of the largest of the branch models.
+
+    Each branch is modelled as q(h) = sigma + sigma' h + sigma'' h^2 / 2.  A
+    local minimum of max_k q_k is either the Newton point of a convex model
+    that is on top there (a smooth minimum) or a crossing of two models that
+    are on top there with slopes of opposite sign (a kink).  None when there
+    is neither.
+    """
+
+    def value(m: tuple[float, float, float], h: float) -> float:
+        return m[0] + m[1] * h + 0.5 * m[2] * h * h
+
+    def on_top(h: float, *ms: tuple[float, float, float]) -> bool:
+        return max(value(m, h) for m in ms) >= max(value(m, h) for m in branches)
+
+    minima = [-d / c for s, d, c in branches if c > 0.0 and on_top(-d / c, (s, d, c))]
+    for m1, m2 in itertools.combinations(branches, 2):
+        (s1, d1, c1), (s2, d2, c2) = m1, m2
+        a, b, c = s1 - s2, d1 - d2, 0.5 * (c1 - c2)
+        roots = []
+        if c == 0.0:
+            if b != 0.0:
+                roots.append(-a / b)
+        elif b * b >= 4.0 * a * c:
+            q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+            roots.append(q / c)
+            if q != 0.0:
+                roots.append(a / q)
+        minima += [h for h in roots if (d1 + c1 * h) * (d2 + c2 * h) <= 0.0 and on_top(h, m1, m2)]
+    return min((h for h in minima if math.isfinite(h)), key=abs, default=None)
+
+
 def phase_aligned_distance(
     u1: np.ndarray, u2: np.ndarray, projector: np.ndarray | None = None
 ) -> float:
@@ -170,9 +241,20 @@ def phase_aligned_distance(
     arguments.  By the triangle inequality
     f(phi) >= |e^{i phi} - e^{i phi0}| ||B|| - f(phi0), so no phase farther
     than 2 arcsin(f(phi0) / ||B||) from phi0 beats f(phi0).  Only that arc
-    is scanned, at spacing 2 pi / 96, before golden-section refinement around
-    the best scan point; the distance is insensitive to a global phase of
-    either argument.
+    is scanned, at spacing 2 pi / 96, by singular values alone.
+
+    The refinement around the best scan point takes one full SVD per block
+    per iterate, which gives each block's two largest singular values with
+    their exact first and second derivatives in phi (_top_branches).  The
+    step goes to the nearest local minimum of the largest of these
+    branches' quadratic models (_model_step): a Newton step at a smooth
+    minimum, the intersection of two branches at a kink, where the top
+    singular values cross.  A bracket, narrowed by the sign of the active
+    slope, guards every step: a step that would leave it, or that is longer
+    than half the step before last, is replaced by bisection.  The
+    iteration stops when the step is a few ulps of phi.  Every evaluation is
+    an upper bound on the minimum, so the smallest one is returned.  The
+    distance is insensitive to a global phase of either argument.
     """
     a = np.asarray(u1, dtype=complex)
     b = np.asarray(u2, dtype=complex)
@@ -201,24 +283,35 @@ def phase_aligned_distance(
     k = int(half // _PHASE_STEP)
     scan = phi0 + _PHASE_STEP * np.arange(-k, k + 1)
     values = [f0 if j == k else dist(p) for j, p in enumerate(scan)]
-    best = scan[int(np.argmin(values))]
-    lo = max(best - _PHASE_STEP, phi0 - half)
-    hi = min(best + _PHASE_STEP, phi0 + half)
+    best_f = min(values)
+    phi = float(scan[int(np.argmin(values))])
+    lo = max(phi - _PHASE_STEP, phi0 - half)
+    hi = min(phi + _PHASE_STEP, phi0 + half)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = dist(x1), dist(x2)
-    while hi - lo > _PHASE_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = dist(x1)
+    steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
+    while best_f > 0.0:
+        tol = _ULPS * math.ulp(max(abs(phi), 1.0))
+        if hi - lo <= tol:
+            break
+        z = np.exp(1j * phi)
+        branches = [br for x, y in pairs for br in _top_branches(x, y, z)]
+        f, slope, _ = max(branches)
+        best_f = min(best_f, f)
+        if slope > 0.0:
+            hi = phi
+        elif slope < 0.0:
+            lo = phi
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = dist(x2)
-    return min(min(values), f1, f2)
+            break
+        h = _model_step(branches)
+        if h is not None and abs(h) <= tol:
+            break
+        # halving the step at least every other iterate bounds the count
+        if h is None or not lo < phi + h < hi or abs(h) > 0.5 * steps[-2]:
+            h = 0.5 * (lo + hi) - phi
+        steps.append(abs(h))
+        phi += h
+    return best_f
 
 
 def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> PropagatorBundle:

@@ -39,7 +39,12 @@ def midpoint_extrapolated(params, spec, t: float, steps: int, rwa: bool) -> np.n
 
 def phase_scan_distance(u1, u2, projector=None) -> float:
     """min over phi of ||P U1 P - e^{i phi} P U2 P||: a 96-point scan of the
-    whole circle followed by golden-section refinement to 1e-10."""
+    whole circle, then golden-section refinement around the best point until
+    the bracket cannot shrink further in floating point.
+
+    Returns the smallest value evaluated, so it converges to rounding at
+    kinks as well as at smooth minima.
+    """
     a = np.asarray(u1, dtype=complex)
     b = np.asarray(u2, dtype=complex)
     if projector is not None:
@@ -59,7 +64,8 @@ def phase_scan_distance(u1, u2, projector=None) -> float:
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = dist(x1), dist(x2)
-    while hi - lo > 1e-10:
+    best = min(min(values), f1, f2)
+    while lo < x1 < x2 < hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -68,7 +74,21 @@ def phase_scan_distance(u1, u2, projector=None) -> float:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
             f2 = dist(x2)
-    return min(min(values), f1, f2)
+        best = min(best, f1, f2)
+    return best
+
+
+def eigenphase_arc_distance(u1, u2) -> float:
+    """min over phi of ||U1 - e^{i phi} U2|| for unitaries, in closed form.
+
+    ||U1 - e^{i phi} U2|| = ||U2^dag U1 - e^{i phi}|| = max_k |e^{i theta_k} - e^{i phi}|
+    over the eigenphases theta_k of the unitary U2^dag U1, so the minimum is
+    2 sin(w / 4), with w the narrowest arc that holds every theta_k (2 pi
+    minus the widest gap between neighbours), reached at its midpoint.
+    """
+    theta = np.sort(np.angle(np.linalg.eigvals(np.asarray(u2).conj().T @ np.asarray(u1))))
+    gaps = np.diff(np.append(theta, theta[0] + 2.0 * np.pi))
+    return float(2.0 * np.sin((2.0 * np.pi - gaps.max()) / 4.0))
 
 
 def omega1_stack_rule(params, spec, t: float, n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ def test_zeta_resonance_branch_and_limit():
         assert abs(quad - ZETA_RES_T1) <= 1e-5 * abs(ZETA_RES_T1)
 
 
-@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0])
 def test_zeta_relative_accuracy(t):
     # the branch-free zeta against 50-digit arithmetic of its defining
     # quotient, through resonance (delta = 0 takes the analytic limit)
@@ -240,6 +241,32 @@ def test_omega2_closed_basics():
     assert spectral_norm(zero) == 0.0
     om2 = omega2_closed(ModelParams(1.0, 0.8, 0.05), spec, 1.0).omega2
     assert anti_hermiticity_defect(om2) <= 1e-13
+
+
+def test_second_order_operators_built_once_per_spec(monkeypatch):
+    import jcmagnus.hilbert as hilbert
+
+    spec = HilbertSpec(9)
+    p = ModelParams(1.0, 0.8, 0.05)
+    first = omega2_closed(p, spec, 1.0).omega2
+    first_table = commutator_table(spec)
+    calls = []
+    tensor = hilbert.tensor
+
+    def counting_tensor(*args):
+        calls.append(args)
+        return tensor(*args)
+
+    # every jcmagnus module that holds a reference to hilbert.tensor
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("jcmagnus") and getattr(mod, "tensor", None) is tensor:
+            monkeypatch.setattr(mod, "tensor", counting_tensor)
+    second = omega2_closed(p, spec, 1.0).omega2
+    second_table = commutator_table(spec)
+    assert calls == []
+    assert np.array_equal(first, second)
+    for (_, d1, c1), (_, d2, c2) in zip(first_table, second_table):
+        assert np.array_equal(d1, d2) and np.array_equal(c1, c2)
 
 
 def test_omega2_closed_vs_quadrature_buffered():

@@ -8,12 +8,18 @@ from jcmagnus.propagator import (
     error_report,
     phase_aligned_distance,
     project_buffer,
+    propagator_bundle,
     u_exact,
     u_magnus,
     u_rwa,
     unitarity_defect,
 )
-from oracles import midpoint_extrapolated, midpoint_product, phase_scan_distance
+from oracles import (
+    eigenphase_arc_distance,
+    midpoint_extrapolated,
+    midpoint_product,
+    phase_scan_distance,
+)
 
 PARAMS = ModelParams(1.0, 0.8, 0.05)
 
@@ -189,6 +195,47 @@ def test_phase_alignment_matches_scan_oracle(fock, w0, g, t):
         assert abs(table[name] - want) <= 1e-9, name
         rotated = phase_aligned_distance(np.exp(2.1j) * u1, np.exp(-0.7j) * u2, proj)
         assert abs(rotated - want) <= 1e-9, name
+
+
+@pytest.mark.parametrize("fock, w0, g, t", [p for p in PHASE_GRID if p[0] in (12, 24)])
+def test_phase_alignment_exact_to_rounding(fock, w0, g, t):
+    # kinks, where the top two singular values cross, included: against the
+    # scan refined to rounding (buffer 2) and the eigenphase closed form (buffer 0)
+    spec = HilbertSpec(fock)
+    bundle = propagator_bundle(ModelParams(1.0, w0, g), spec, t)
+    for buffer in (2, 0):
+        proj = project_buffer(spec, buffer)
+        for name, (k1, k2) in PAIRS.items():
+            u1, u2 = getattr(bundle, k1), getattr(bundle, k2)
+            if buffer == 0:
+                want = eigenphase_arc_distance(u1, u2)
+            else:
+                want = phase_scan_distance(u1, u2, proj)
+            got = phase_aligned_distance(u1, u2, proj)
+            assert abs(got - want) <= 1e-12 * want + 1e-15, (name, buffer, got, want)
+
+
+def test_eigenphase_oracle_matches_scan_oracle():
+    # the two references agree where both apply (unitaries, no buffer)
+    spec = HilbertSpec(8)
+    bundle = propagator_bundle(ModelParams(1.0, 0.9, 0.2), spec, 3.0)
+    for k1, k2 in PAIRS.values():
+        u1, u2 = getattr(bundle, k1), getattr(bundle, k2)
+        want = eigenphase_arc_distance(u1, u2)
+        assert abs(phase_scan_distance(u1, u2) - want) <= 1e-12 * want + 1e-15, (k1, k2)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.05])
+def test_phase_alignment_degenerate_inputs(g):
+    # identical and globally rotated arguments give zero and rounding-level
+    # distances without a RuntimeWarning; at g = 0 u is the identity, so
+    # every singular value of u1 - e^{i phi} u2 is tied
+    spec = HilbertSpec(8)
+    proj = project_buffer(spec, 2)
+    u = u_exact(ModelParams(1.0, 0.8, g), spec, 1.0)
+    for p in (None, proj):
+        assert phase_aligned_distance(u, u, p) == 0.0
+        assert phase_aligned_distance(u, np.exp(0.83j) * u, p) <= 1e-15
 
 
 def test_phase_alignment_without_parity_structure(rng):
