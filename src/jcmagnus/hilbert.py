@@ -138,10 +138,15 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
+def _hermitian_norm(h: np.ndarray) -> float:
+    """Largest |eigenvalue| of a Hermitian matrix (lower triangle): its spectral norm."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+
+
 def anti_hermiticity_defect(gen: np.ndarray) -> float:
     """Spectral norm of G + G^dag (zero for an anti-Hermitian G)."""
     gen = np.asarray(gen)
-    return spectral_norm(gen + adjoint(gen))
+    return _hermitian_norm(gen + adjoint(gen))
 
 
 def anti_herm_tolerance(norm: float) -> float:
@@ -168,21 +173,21 @@ def expm_antiherm(gen: np.ndarray) -> np.ndarray:
     by construction instead of merely to truncation order of a series.
 
     Raises ValueError when ||G + G^dag|| exceeds the anti-Hermiticity
-    tolerance, reporting the defect.
+    tolerance (scaled by max |lam|, the norm of G's anti-Hermitian part).
     """
     gen = _require_square(gen)
     if not np.all(np.isfinite(gen)):
         raise ValueError("generator contains non-finite entries")
+    h = 1j * gen
+    h = 0.5 * (h + adjoint(h))  # strip the rounding-level skew part
+    lam, q = np.linalg.eigh(h)
     defect = anti_hermiticity_defect(gen)
-    tol = anti_herm_tolerance(spectral_norm(gen))
+    tol = anti_herm_tolerance(float(np.max(np.abs(lam))))
     if defect > tol:
         raise ValueError(
             f"generator is not anti-Hermitian: ||G + G^dag|| = {defect:.3e} "
             f"exceeds tolerance {tol:.3e}"
         )
-    h = 1j * gen
-    h = 0.5 * (h + adjoint(h))  # strip the rounding-level skew part
-    lam, q = np.linalg.eigh(h)
     return (q * np.exp(-1j * lam)) @ adjoint(q)
 
 

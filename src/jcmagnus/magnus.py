@@ -44,8 +44,9 @@ products e^{+-i x t1} e^{+-i y t2} with x, y in {delta, sigma}.  The oracles
 therefore share one pair of inner Simpson sums, E_x(t1) = sum_j w_j e^{i x t2_j}
 over a fresh grid on [0, t1] for each outer node (the sum for e^{-i x t2} is
 its conjugate, the weights being real), and finish each integral with an
-outer Simpson sum.  No closed-form antiderivative enters; tests/oracles.py
-keeps the rule that evaluates each integrand on its own full grid.
+outer Simpson sum.  Each E_x is one chirp-z FFT convolution (_inner_sums),
+the same rule at O(n log n) cost.  No closed-form antiderivative enters;
+tests/oracles.py evaluates each integrand, and the inner sums, on full grids.
 
 The operator oracles need no operator-valued time stacks.  h_rotated(t) is
 g sum_i c_i(t) B_i over the four constant coupling blocks B_i, so by
@@ -99,8 +100,6 @@ _ZETA_A, _ZETA_B = np.array(_ZETA_TERMS).T
 _ZETA_COEF = np.array(
     [1j ** (a + b) / (math.factorial(a) * math.factorial(b) * (b + 1) * (a + b + 2)) for a, b in _ZETA_TERMS]
 )
-# Rows of the quadrature grid per chunk: ~1 MB per real temporary at n = 1024.
-_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -247,27 +246,23 @@ def _inner_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Outer nodes and weights with the inner Simpson sums of the two phases.
 
-    Returns (s, w, e_d, e_s): the n + 1 outer nodes s_i on [0, t], their
-    composite-Simpson weights, and E_x(s_i) = sum_j w_ij e^{i x s_i xi_j} for
-    x = delta and x = sigma, where xi_j are n + 1 equispaced nodes on [0, 1]
-    and w_ij = pattern_j s_i / n the n-panel Simpson weights on [0, s_i].
-    Each outer node gets a fresh inner grid, so both directions converge at
-    fourth order.  The real and imaginary parts are summed separately
-    (e^{i a} = cos a + i sin a), and the (n + 1)^2 grid is built
-    _CHUNK_ROWS rows at a time, so no full-size temporary exists.
+    Returns the nodes s_i = t i / n, their Simpson weights, and for x = delta,
+    sigma the n-panel Simpson sum of e^{i x u} over [0, s_i], E_x(s_i) =
+    (s_i / n) sum_j p_j w^{ij} with pattern p_j and w = e^{i x t / n^2}.  As
+    ij = (i^2 + j^2 - (i - j)^2) / 2, with the chirp c_k = w^{k^2 / 2} it is
+    (s_i / n) c_i sum_j (p_j c_j) conj(c_{i-j}), one FFT convolution per phase
+    (the chirp-z transform: Rabiner, Schafer & Rader, IEEE Trans. Audio
+    Electroacoust. 17 (1969) 86).  The rule is that of the (n + 1)^2 grid,
+    unchanged; only the summation order differs.
     """
     pattern = _simpson_pattern(n)
     s_nodes = np.linspace(0.0, t, n + 1)
-    xi = np.linspace(0.0, 1.0, n + 1)
-    e_d = np.empty(n + 1, dtype=complex)
-    e_s = np.empty(n + 1, dtype=complex)
-    for start in range(0, n + 1, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        s = s_nodes[rows]
-        u = s[:, None] * xi[None, :]
-        for x, out in ((params.delta, e_d), (params.sigma, e_s)):
-            arg = x * u
-            out[rows] = (s / n) * (np.cos(arg) @ pattern + 1j * (np.sin(arg) @ pattern))
+    chirp = np.exp(1j * np.outer((params.delta, params.sigma), np.arange(n + 1) ** 2 * (t / (2.0 * n * n))))
+    # conj(c_m) for m = -n..n laid out circularly; size >= 2n + 1 avoids aliasing
+    size = 1 << (2 * n).bit_length()
+    kernel = np.concatenate((chirp, np.zeros((2, size - 2 * n - 1)), chirp[:, :0:-1]), axis=1).conj()
+    conv = np.fft.ifft(np.fft.fft(pattern * chirp, size) * np.fft.fft(kernel))[:, : n + 1]
+    e_d, e_s = (s_nodes / n) * chirp * conv
     return s_nodes, pattern * (t / n), e_d, e_s
 
 
@@ -281,7 +276,7 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     real, so sum_j w_j e^{-i y u_j} = conj(sum_j w_j e^{i y u_j}) exactly.
     This is the same quadrature, with the same nodes and weights, as
     evaluating each integrand on the full (n + 1)^2 grid, summed in a
-    different order; only the two phase grids of _inner_sums are built.
+    different order.
 
     i3 and i4 are evaluated and stored even though their block commutators
     vanish exactly, so only i1, i2, i5, i6 change the second-order generator.

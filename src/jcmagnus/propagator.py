@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOM_EXCITED, HilbertSpec, adjoint, expm_antiherm, spectral_norm
+from .hilbert import ATOM_EXCITED, HilbertSpec, _hermitian_norm, adjoint, expm_antiherm
 from .jc_model import ModelParams, frame_phases, h_rotated, h_rwa
 from .magnus import convergence_margin, omega1_closed, omega2_closed
 
@@ -83,7 +83,7 @@ class PropagatorBundle:
 def unitarity_defect(u: np.ndarray) -> float:
     """Spectral norm of U^dag U - I."""
     u = np.asarray(u)
-    return spectral_norm(adjoint(u) @ u - np.eye(u.shape[0]))
+    return _hermitian_norm(adjoint(u) @ u - np.eye(u.shape[0]))
 
 
 def project_buffer(spec: HilbertSpec, buffer: int) -> np.ndarray:
@@ -255,6 +255,12 @@ def phase_aligned_distance(
     iteration stops when the step is a few ulps of phi.  Every evaluation is
     an upper bound on the minimum, so the smallest one is returned.  The
     distance is insensitive to a global phase of either argument.
+
+    When f(phi0) >= ||B|| the whole circle is scanned, and f may have
+    several local minima there.  f is ||B||-Lipschitz in phi, so the
+    refinement is then repeated around every other scan point p with
+    f(p) - ||B|| pi / 96 below the best value found, each run stopping once
+    its bracket cannot hold a lower value.
     """
     a = np.asarray(u1, dtype=complex)
     b = np.asarray(u2, dtype=complex)
@@ -276,6 +282,42 @@ def phase_aligned_distance(
         z = np.exp(1j * phi)
         return max(top(x - z * y) for x, y in pairs)
 
+    def refine(j: int, best_f: float, lipschitz: float | None = None) -> float:
+        """Guarded refinement from scan point j within one step; the smallest value seen.
+
+        Given a Lipschitz constant of f, it stops as soon as the bracket
+        cannot hold a value below best_f.
+        """
+        phi = float(scan[j])
+        lo = max(phi - _PHASE_STEP, phi0 - half)
+        hi = min(phi + _PHASE_STEP, phi0 + half)
+        steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
+        while best_f > 0.0:
+            tol = _ULPS * math.ulp(max(abs(phi), 1.0))
+            if hi - lo <= tol:
+                break
+            z = np.exp(1j * phi)
+            branches = [br for x, y in pairs for br in _top_branches(x, y, z)]
+            f, slope, _ = max(branches)
+            best_f = min(best_f, f)
+            if lipschitz is not None and f - lipschitz * (hi - lo) >= best_f:
+                break
+            if slope > 0.0:
+                hi = phi
+            elif slope < 0.0:
+                lo = phi
+            else:
+                break
+            h = _model_step(branches)
+            if h is not None and abs(h) <= tol:
+                break
+            # halving the step at least every other iterate bounds the count
+            if h is None or not lo < phi + h < hi or abs(h) > 0.5 * steps[-2]:
+                h = 0.5 * (lo + hi) - phi
+            steps.append(abs(h))
+            phi += h
+        return best_f
+
     phi0 = float(np.angle(np.vdot(b, a)))
     f0 = dist(phi0)
     norm_b = max(top(y) for _, y in pairs)
@@ -283,34 +325,14 @@ def phase_aligned_distance(
     k = int(half // _PHASE_STEP)
     scan = phi0 + _PHASE_STEP * np.arange(-k, k + 1)
     values = [f0 if j == k else dist(p) for j, p in enumerate(scan)]
-    best_f = min(values)
-    phi = float(scan[int(np.argmin(values))])
-    lo = max(phi - _PHASE_STEP, phi0 - half)
-    hi = min(phi + _PHASE_STEP, phi0 + half)
-
-    steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
-    while best_f > 0.0:
-        tol = _ULPS * math.ulp(max(abs(phi), 1.0))
-        if hi - lo <= tol:
-            break
-        z = np.exp(1j * phi)
-        branches = [br for x, y in pairs for br in _top_branches(x, y, z)]
-        f, slope, _ = max(branches)
-        best_f = min(best_f, f)
-        if slope > 0.0:
-            hi = phi
-        elif slope < 0.0:
-            lo = phi
-        else:
-            break
-        h = _model_step(branches)
-        if h is not None and abs(h) <= tol:
-            break
-        # halving the step at least every other iterate bounds the count
-        if h is None or not lo < phi + h < hi or abs(h) > 0.5 * steps[-2]:
-            h = 0.5 * (lo + hi) - phi
-        steps.append(abs(h))
-        phi += h
+    order = np.argsort(values, kind="stable")
+    best_f = refine(int(order[0]), min(values))
+    if f0 >= norm_b:
+        # every phi lies within half a step of a scan point
+        for j in order[1:]:
+            if values[j] - 0.5 * _PHASE_STEP * norm_b >= best_f:
+                break
+            best_f = refine(int(j), best_f, norm_b)
     return best_f
 
 

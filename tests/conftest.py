@@ -16,3 +16,9 @@ def angle_diff_mod_pi(a: float, b: float) -> float:
 def random_antihermitian(rng, dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (m - m.conj().T)
+
+
+def random_unitary(rng, dim: int) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian, column phases fixed by diag R."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))

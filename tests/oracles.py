@@ -43,7 +43,10 @@ def phase_scan_distance(u1, u2, projector=None) -> float:
     the bracket cannot shrink further in floating point.
 
     Returns the smallest value evaluated, so it converges to rounding at
-    kinks as well as at smooth minima.
+    kinks as well as at smooth minima.  Far-apart arguments (f(phi0) >= ||B||
+    in phase_aligned_distance's terms) can have several local minima within
+    one scan step, and the bracket may then hold a local one, so the result
+    is reliable only where the certified arc applies.
     """
     a = np.asarray(u1, dtype=complex)
     b = np.asarray(u2, dtype=complex)
@@ -108,6 +111,19 @@ def triangle_quadrature(fn, t: float, n: int) -> complex:
     inner_w = simpson_weights(n, 1.0)[None, :] * t1
     inner = np.sum(inner_w * fn(t1, t2), axis=1)
     return complex(np.sum(simpson_weights(n, t) * inner))
+
+
+def inner_sums_grid(params, t: float, n: int):
+    """(e_d, e_s): the inner Simpson sums E_x(s_i) = sum_j w_ij e^{i x s_i xi_j}
+    on the full (n + 1)^2 phase grid, xi_j = j / n and w_ij = s_i / n times
+    the Simpson pattern, for x = delta and x = sigma."""
+    s = np.linspace(0.0, t, n + 1)
+    u = s[:, None] * np.linspace(0.0, 1.0, n + 1)[None, :]
+    pattern = simpson_weights(n, n)  # (1, 4, 2, ..., 4, 1) / 3
+    return tuple(
+        (s / n) * (np.cos(x * u) @ pattern + 1j * (np.sin(x * u) @ pattern))
+        for x in (params.delta, params.sigma)
+    )
 
 
 def integrals_triangle_rule(params, t: float, n: int) -> IntegralSet:

@@ -298,6 +298,11 @@ def test_verify_builds_inner_sums_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_verify_large_quad_steps():
+    # the chirp-z inner sums keep a 16384-panel verify cheap, and it passes
+    assert main(["verify", "--quad-steps", "16384"]) == 0
+
+
 def test_row_bs_probe_matches_public_probe():
     # the row reads the Bloch-Siegert phase off error_report's propagators;
     # the value is bit-identical to the stand-alone probe

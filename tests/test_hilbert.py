@@ -15,8 +15,9 @@ from jcmagnus.hilbert import (
     spectral_norm,
     tensor,
 )
+from jcmagnus.hilbert import _hermitian_norm
 
-from conftest import random_antihermitian
+from conftest import random_antihermitian, random_unitary
 
 
 def test_spec_validation():
@@ -165,6 +166,25 @@ def test_expm_antiherm_rejects_hermitian(rng):
         expm_antiherm(h)
     with pytest.raises(ValueError):
         expm_antiherm(np.ones((3, 4)))
+
+
+def test_hermitian_norm_matches_spectral_norm(rng):
+    # the eigvalsh norm behind anti_hermiticity_defect and unitarity_defect
+    # agrees with the SVD norm on Hermitian matrices.  eigvalsh reads one
+    # triangle, so on a product U^dag U - I that BLAS rounds to a slightly
+    # non-Hermitian matrix (some kernels do at small sizes) the two may differ
+    # by up to the rounding-level skew part, ||M - M^dag||_F (Weyl).
+    for dim in (2, 3, 12, 48):
+        for _ in range(5):
+            h = 1j * random_antihermitian(rng, dim)
+            u = random_unitary(rng, dim)
+            for m in (h, adjoint(u) @ u - np.eye(dim)):
+                want = np.linalg.norm(m, 2)
+                skew = np.linalg.norm(m - adjoint(m))
+                assert abs(_hermitian_norm(m) - want) <= 1e-14 * want + skew, dim
+    g = random_antihermitian(rng, 12)
+    with pytest.raises(ValueError, match="not anti-Hermitian"):
+        expm_antiherm(g + 1e-6 * np.eye(12))
 
 
 def test_herm_eig_trivial():

@@ -24,10 +24,10 @@ from jcmagnus.magnus import (
     squeeze_params,
     zeta_resonance_limit,
 )
-from jcmagnus.magnus import _ramp, _zeta_closed
+from jcmagnus.magnus import _inner_sums, _ramp, _zeta_closed
 from jcmagnus.propagator import project_buffer
 
-from oracles import integrals_triangle_rule, omega1_stack_rule
+from oracles import inner_sums_grid, integrals_triangle_rule, omega1_stack_rule
 
 # Frozen oracle values, computed with the double-Simpson quadrature of the
 # defining integrals (integrals_quadrature at n=2048 reproduces them to
@@ -101,6 +101,43 @@ def test_integrals_quadrature_matches_literal_triangle_rule():
                 for name in ("i1", "i2", "i3", "i4", "i5", "i6"):
                     diff = abs(getattr(fast, name) - getattr(literal, name))
                     assert diff <= 1e-14, (w0, t, n, name)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_inner_sums_match_grid_oracle(n):
+    # the chirp-z convolution sums the same terms as the (n + 1)^2 phase grid
+    for w0 in (0.2, 0.8, 1.0, 1.1):
+        p = ModelParams(1.0, w0, 0.05)
+        for t in (0.5, 1.0, 2.0, 8.0):
+            _, _, e_d, e_s = _inner_sums(p, t, n)
+            for got, want in zip((e_d, e_s), inner_sums_grid(p, t, n)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (w0, t)
+
+
+def test_inner_sums_edge_cases():
+    # t = 0 gives exactly zero sums; at resonance the delta chirp has zero
+    # rate and E_delta(s) = s, the Simpson integral of 1 over [0, s]
+    p = ModelParams(1.0, 0.8, 0.05)
+    s, w, e_d, e_s = _inner_sums(p, 0.0, 64)
+    assert not np.any(s) and not np.any(w) and not np.any(e_d) and not np.any(e_s)
+    res = ModelParams(1.0, 1.0, 0.05)
+    s, w, e_d, e_s = _inner_sums(res, 2.0, 64)
+    assert np.max(np.abs(e_d - s)) <= 1e-14
+    assert s.shape == w.shape == e_d.shape == e_s.shape == (65,)
+    assert np.max(np.abs(e_s - inner_sums_grid(res, 2.0, 64)[1])) <= 1e-14
+
+
+def test_integrals_quadrature_large_n_matches_closed():
+    # O(n log n) inner sums make n = 16384 cheap; the rule then agrees with
+    # the closed forms to rounding
+    for w0 in (0.8, 1.0, 1.1):
+        p = ModelParams(1.0, w0, 0.05)
+        for t in (0.5, 2.0, 6.0):
+            quad = integrals_quadrature(p, t, 16384)
+            closed = integrals_closed(p, t)
+            for name in ("i1", "i2", "i5", "i6"):
+                diff = abs(getattr(quad, name) - getattr(closed, name))
+                assert diff <= 1e-14 * t * t, (w0, t, name)
 
 
 def test_integral_conjugacy_and_imaginarity():

@@ -14,6 +14,7 @@ from jcmagnus.propagator import (
     u_rwa,
     unitarity_defect,
 )
+from conftest import random_unitary
 from oracles import (
     eigenphase_arc_distance,
     midpoint_extrapolated,
@@ -241,11 +242,7 @@ def test_phase_alignment_degenerate_inputs(g):
 def test_phase_alignment_without_parity_structure(rng):
     # random unitaries couple every index, so the distance takes the
     # single-block path, and they are far apart, so the whole circle is scanned
-    def random_unitary(dim):
-        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    u1, u2 = random_unitary(10), random_unitary(10)
+    u1, u2 = random_unitary(rng, 10), random_unitary(rng, 10)
     proj = project_buffer(HilbertSpec(5), 1)
     for p in (None, proj):
         assert abs(phase_aligned_distance(u1, u2, p) - phase_scan_distance(u1, u2, p)) <= 1e-9
@@ -253,6 +250,19 @@ def test_phase_alignment_without_parity_structure(rng):
     for p in (None, proj):
         want = phase_scan_distance(u1, near, p)
         assert abs(phase_aligned_distance(u1, np.exp(1.3j) * near, p) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [5, 20260809])
+def test_phase_alignment_global_minimum_far_apart(seed):
+    # Haar pairs are far apart, so the whole circle is scanned and f has
+    # several local minima, some within one scan step of each other: the
+    # result is the global minimum, the eigenphase closed form
+    rng = np.random.default_rng(seed)
+    for k in range(300):
+        u1, u2 = random_unitary(rng, 8), random_unitary(rng, 8)
+        want = eigenphase_arc_distance(u1, u2)
+        got = phase_aligned_distance(u1, u2)
+        assert abs(got - want) <= 1e-12 * want + 1e-15, (k, got, want)
 
 
 def test_phase_alignment_rejects_non_diagonal_projector():
