@@ -18,9 +18,9 @@ unitary by construction, with no time stepping.
 
 Every operator here conserves the parity of n + [atom excited], because the
 counter-rotating terms change the excitation number by two.  Each exponential
-is taken per parity block (two fock_dim eigendecompositions instead of one of
-size 2 fock_dim), so cross-parity entries of all four propagators are exactly
-zero.
+is taken per parity block (two fock_dim eigendecompositions, in one stacked
+call, instead of one of size 2 fock_dim), so cross-parity entries of all four
+propagators are exactly zero.
 
 Error comparisons are phase-aligned spectral-norm distances restricted to a
 buffered Fock subspace, because ladder truncation corrupts the top levels and
@@ -30,7 +30,11 @@ refined with exact first and second derivatives of the top singular values:
 Newton steps at a smooth minimum, branch intersections at a kink where the
 two largest singular values cross (Lewis & Overton, Acta Numerica 5 (1996)
 149), each guarded by a bisection bracket, so distances are exact to
-rounding.
+rounding.  phase_aligned_distances runs the searches of many pairs in
+lockstep, so each stage is one stacked LAPACK call over all pairs and parity
+blocks, with every stacked operand capped at _STACK_BYTES; numpy's stacked
+svd, eigh and matmul are bit-identical per matrix to single calls, so a
+distance does not depend on the pairs it is computed with.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "PropagatorBundle",
     "error_report",
     "phase_aligned_distance",
+    "phase_aligned_distances",
     "project_buffer",
     "propagator_bundle",
     "u_exact",
@@ -66,6 +71,9 @@ DEFAULT_BUFFER = 2
 # which its refinement stops.
 _PHASE_STEP = 2.0 * math.pi / 96
 _ULPS = 4
+# Cap on each stacked operand of the distances' LAPACK calls: small blocks
+# stack fully, blocks above it go one per call.
+_STACK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -115,14 +123,18 @@ def _couples_blocks(m: np.ndarray, blocks: list[np.ndarray]) -> bool:
 
 
 def _expm_blockwise(gen: np.ndarray) -> np.ndarray:
-    """exp(G) of a parity-conserving anti-Hermitian G, one expm_antiherm per block."""
+    """exp(G) of a parity-conserving anti-Hermitian G on 2 fock_dim states.
+
+    The two parity blocks have fock_dim states each, so one stacked
+    expm_antiherm exponentiates both.
+    """
     blocks = _parity_blocks(np.arange(gen.shape[0]))
     if _couples_blocks(gen, blocks):
         raise ValueError("generator couples the two excitation-parity blocks")
+    subs = [np.ix_(blk, blk) for blk in blocks]
     u = np.zeros(gen.shape, dtype=complex)
-    for blk in blocks:
-        sub = np.ix_(blk, blk)
-        u[sub] = expm_antiherm(gen[sub])
+    for sub, block in zip(subs, expm_antiherm(np.stack([gen[sub] for sub in subs]))):
+        u[sub] = block
     return u
 
 
@@ -165,9 +177,26 @@ def _kept_indices(projector: np.ndarray) -> np.ndarray:
     return np.flatnonzero(diag)
 
 
-def _top_branches(x: np.ndarray, y: np.ndarray, z: complex) -> list[tuple[float, float, float]]:
-    """(sigma_k, sigma_k', sigma_k'') of the two largest singular values of x - z y.
+def _parity_block_norms(mats: list[np.ndarray], projector: np.ndarray | None = None) -> list[float]:
+    """Spectral norm of each matrix on the kept indices of projector, taken per parity block.
 
+    One stacked values-only SVD covers every block.  A matrix that couples
+    the two blocks gets inf, so a check built on these norms fails on it.
+    """
+    index = np.arange(np.shape(mats[0])[0]) if projector is None else _kept_indices(projector)
+    blocks = [index[blk] for blk in _parity_blocks(index)]
+    stack, couples = [], []
+    for m in map(np.asarray, mats):
+        couples.append(_couples_blocks(m, blocks))
+        stack += [m[np.ix_(blk, blk)] for blk in blocks]
+    tops = np.linalg.svd(np.stack(stack), compute_uv=False)[:, 0].reshape(len(mats), -1)
+    return [math.inf if c else float(top) for c, top in zip(couples, tops.max(axis=1))]
+
+
+def _top_branches(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[list[tuple[float, float, float]]]:
+    """(sigma_k, sigma_k', sigma_k'') of the two largest singular values of each x_i - z_i y_i.
+
+    x and y are stacks of square matrices and z a vector of unit phases.
     Derivatives are in phi with z = e^{i phi}: M' = -i z y and M'' = i M'.
     With K = U^dag M' V from one full SVD,
 
@@ -180,19 +209,19 @@ def _top_branches(x: np.ndarray, y: np.ndarray, z: complex) -> list[tuple[float,
     and pairs of zero singular values) are dropped: their numerators vanish
     along the analytic branches.
     """
-    u, s, vh = np.linalg.svd(x - z * y)
-    dm = -1j * z * y
-    top = min(2, s.size)
-    col = u.conj().T @ (dm @ vh[:top].conj().T)  # K_jk for the top k
-    row = ((u[:, :top].conj().T @ dm) @ vh.conj().T).T.conj()  # conj(K_kj)
-    kk = np.diagonal(col)
+    u, s, vh = np.linalg.svd(x - z[:, None, None] * y)
+    dm = (-1j * z)[:, None, None] * y
+    top = min(2, s.shape[-1])
+    col = adjoint(u) @ (dm @ adjoint(vh[:, :top]))  # K_jk for the top k
+    row = adjoint((adjoint(u[:, :, :top]) @ dm) @ adjoint(vh))  # conj(K_kj)
+    kk = np.diagonal(col, axis1=1, axis2=2)
     curv = -kk.imag
     for num, den in (
-        (np.abs(col + row) ** 2, s[:top] - s[:, None]),
-        (np.abs(col - row) ** 2, s[:top] + s[:, None]),
+        (np.abs(col + row) ** 2, s[:, None, :top] - s[:, :, None]),
+        (np.abs(col - row) ** 2, s[:, None, :top] + s[:, :, None]),
     ):
-        curv = curv + np.sum(np.divide(num, 2.0 * den, out=np.zeros(num.shape), where=den != 0), axis=0)
-    return list(zip(s[:top].tolist(), kk.real.tolist(), curv.tolist()))
+        curv = curv + np.sum(np.divide(num, 2.0 * den, out=np.zeros(num.shape), where=den != 0), axis=1)
+    return [list(zip(*cols)) for cols in zip(s[:, :top].tolist(), kk.real.tolist(), curv.tolist())]
 
 
 def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
@@ -228,14 +257,110 @@ def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
     return min((h for h in minima if math.isfinite(h)), key=abs, default=None)
 
 
-def phase_aligned_distance(
-    u1: np.ndarray, u2: np.ndarray, projector: np.ndarray | None = None
-) -> float:
-    """min over phi of f(phi) = ||P U1 P - e^{i phi} P U2 P|| in spectral norm.
+def _phase_search(phi0: float, norm_b: float):
+    """The phase search of one pair, as a generator driven by phase_aligned_distances.
+
+    It yields (full, phases) and is sent, per phase, one result per block of
+    the pair: the top singular value of the block of A - e^{i phi} B
+    (full=False) or its top branches (full=True, _top_branches).  It returns
+    the distance.
+    """
+    (tops,) = yield False, [phi0]
+    f0 = max(tops)
+    half = 2.0 * math.asin(f0 / norm_b) if f0 < norm_b else math.pi
+    k = int(half // _PHASE_STEP)
+    scan = phi0 + _PHASE_STEP * np.arange(-k, k + 1)
+    per_phase = yield False, np.delete(scan, k)
+    values = [max(tops) for tops in per_phase]
+    values.insert(k, f0)
+
+    def refine(j: int, best_f: float, lipschitz: float | None = None):
+        """Guarded refinement from scan point j within one step; the smallest value seen.
+
+        Given a Lipschitz constant of f, it stops as soon as the bracket
+        cannot hold a value below best_f.
+        """
+        phi = float(scan[j])
+        lo = max(phi - _PHASE_STEP, phi0 - half)
+        hi = min(phi + _PHASE_STEP, phi0 + half)
+        steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
+        while best_f > 0.0:
+            tol = _ULPS * math.ulp(max(abs(phi), 1.0))
+            if hi - lo <= tol:
+                break
+            (per_block,) = yield True, [phi]
+            branches = [br for block in per_block for br in block]
+            f, slope, _ = max(branches)
+            best_f = min(best_f, f)
+            if lipschitz is not None and f - lipschitz * (hi - lo) >= best_f:
+                break
+            if slope > 0.0:
+                hi = phi
+            elif slope < 0.0:
+                lo = phi
+            else:
+                break
+            h = _model_step(branches)
+            if h is not None and abs(h) <= tol:
+                break
+            # halving the step at least every other iterate bounds the count
+            if h is None or not lo < phi + h < hi or abs(h) > 0.5 * steps[-2]:
+                h = 0.5 * (lo + hi) - phi
+            steps.append(abs(h))
+            phi += h
+        return best_f
+
+    order = np.argsort(values, kind="stable")
+    best_f = yield from refine(int(order[0]), min(values))
+    if f0 >= norm_b:
+        # every phi lies within half a step of a scan point
+        for j in order[1:]:
+            if values[j] - 0.5 * _PHASE_STEP * norm_b >= best_f:
+                break
+            best_f = yield from refine(int(j), best_f, norm_b)
+    return best_f
+
+
+def _chunks(n: int, item_bytes: int) -> list[slice]:
+    """Slices of n stacked items, each stack at most _STACK_BYTES (one item at least)."""
+    per = max(1, _STACK_BYTES // item_bytes)
+    return [slice(lo, lo + per) for lo in range(0, n, per)]
+
+
+def _stacked_svd(stacks: dict[int, np.ndarray], items: list[tuple], full: bool) -> list:
+    """Top singular value (full=False) or top branches (full=True) of x - e^{i phi} y.
+
+    items holds (size, x slot, y slot, phi), the slots indexing stacks[size].
+    Items of one size share stacked LAPACK calls, chunked by _chunks.
+    """
+    out: list = [None] * len(items)
+    for size, stack in stacks.items():
+        sel = [i for i, item in enumerate(items) if item[0] == size]
+        if not sel:
+            continue
+        _, xi, yi, phi = (np.array(col) for col in zip(*(items[i] for i in sel)))
+        z = np.exp(1j * phi)
+        for c in _chunks(len(sel), stack[0].nbytes):
+            x, y = stack[xi[c]], stack[yi[c]]
+            if full:
+                res = _top_branches(x, y, z[c])
+            else:
+                res = np.linalg.svd(x - z[c, None, None] * y, compute_uv=False)[:, 0].tolist()
+            for i, r in zip(sel[c], res):
+                out[i] = r
+    return out
+
+
+def phase_aligned_distances(
+    pairs: list[tuple[np.ndarray, np.ndarray]], projector: np.ndarray | None = None
+) -> list[float]:
+    """min over phi of f(phi) = ||P U1 P - e^{i phi} P U2 P|| in spectral norm, per (U1, U2).
 
     P is a diagonal 0/1 projector (project_buffer); the norm is taken on the
-    kept indices directly.  When neither matrix couples the two parity
-    blocks, f is the larger of the two block norms.
+    kept indices directly.  Each distinct matrix is sliced to them and split
+    into its parity blocks once.  When neither matrix of a pair couples the
+    two blocks, f is the larger of the two block norms; a pair that couples
+    them is searched as one block.
 
     The search starts at phi0 = arg tr(B^dag A) with A, B the projected
     arguments.  By the triangle inequality
@@ -261,79 +386,87 @@ def phase_aligned_distance(
     refinement is then repeated around every other scan point p with
     f(p) - ||B|| pi / 96 below the best value found, each run stopping once
     its bracket cannot hold a lower value.
+
+    All pairs are searched in lockstep (_phase_search): ||B||, f(phi0), the
+    scan, and each round of refinement are stacked LAPACK calls over every
+    pair and block, each stack capped at
+    _STACK_BYTES, so large blocks fall back to one matrix per call.  A
+    pair's result does not depend on the other pairs: the stacked calls
+    are bit-identical per matrix to single ones.
     """
-    a = np.asarray(u1, dtype=complex)
-    b = np.asarray(u2, dtype=complex)
-    index = np.arange(a.shape[0])
-    if projector is not None:
-        index = _kept_indices(projector)
-        a = a[np.ix_(index, index)]
-        b = b[np.ix_(index, index)]
-    blocks = _parity_blocks(index)
-    if _couples_blocks(a, blocks) or _couples_blocks(b, blocks):
-        pairs = [(a, b)]
-    else:
-        pairs = [(a[np.ix_(blk, blk)], b[np.ix_(blk, blk)]) for blk in blocks]
+    pairs = list(pairs)
+    kept = None if projector is None else _kept_indices(projector)
+    sliced: dict[int, tuple[np.ndarray, list[np.ndarray], bool]] = {}
+    for u in {id(u): u for pair in pairs for u in pair}.values():
+        m = np.asarray(u, dtype=complex)
+        index = np.arange(m.shape[0]) if kept is None else kept
+        if kept is not None:
+            m = m[np.ix_(index, index)]
+        blocks = _parity_blocks(index)
+        sliced[id(u)] = (m, blocks, _couples_blocks(m, blocks))
+    phi0 = [float(np.angle(np.vdot(sliced[id(b)][0], sliced[id(a)][0]))) for a, b in pairs]
 
-    def top(m: np.ndarray) -> float:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+    # every block the pairs compare, stacked by size: geometry[p] lists the
+    # (size, x slot, y slot) of pair p's blocks
+    members: dict[int, list[np.ndarray]] = {}
+    slots: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def dist(phi: float) -> float:
-        z = np.exp(1j * phi)
-        return max(top(x - z * y) for x, y in pairs)
+    def slot(u: np.ndarray, part: int) -> tuple[int, int]:
+        """(size, position) of block `part` of u, or of all of u for part -1."""
+        if (id(u), part) not in slots:
+            m, blocks, _ = sliced[id(u)]
+            block = m if part < 0 else m[np.ix_(blocks[part], blocks[part])]
+            group = members.setdefault(block.shape[0], [])
+            slots[id(u), part] = (block.shape[0], len(group))
+            group.append(block)
+        return slots[id(u), part]
 
-    def refine(j: int, best_f: float, lipschitz: float | None = None) -> float:
-        """Guarded refinement from scan point j within one step; the smallest value seen.
+    geometry = []
+    for a, b in pairs:
+        whole = sliced[id(a)][2] or sliced[id(b)][2]
+        parts = [-1] if whole else range(len(sliced[id(a)][1]))
+        geometry.append([(*slot(a, w), slot(b, w)[1]) for w in parts])
+    del sliced
+    stacks = {size: np.stack(group) for size, group in members.items()}
+    del members
 
-        Given a Lipschitz constant of f, it stops as soon as the bracket
-        cannot hold a value below best_f.
-        """
-        phi = float(scan[j])
-        lo = max(phi - _PHASE_STEP, phi0 - half)
-        hi = min(phi + _PHASE_STEP, phi0 + half)
-        steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
-        while best_f > 0.0:
-            tol = _ULPS * math.ulp(max(abs(phi), 1.0))
-            if hi - lo <= tol:
-                break
-            z = np.exp(1j * phi)
-            branches = [br for x, y in pairs for br in _top_branches(x, y, z)]
-            f, slope, _ = max(branches)
-            best_f = min(best_f, f)
-            if lipschitz is not None and f - lipschitz * (hi - lo) >= best_f:
-                break
-            if slope > 0.0:
-                hi = phi
-            elif slope < 0.0:
-                lo = phi
-            else:
-                break
-            h = _model_step(branches)
-            if h is not None and abs(h) <= tol:
-                break
-            # halving the step at least every other iterate bounds the count
-            if h is None or not lo < phi + h < hi or abs(h) > 0.5 * steps[-2]:
-                h = 0.5 * (lo + hi) - phi
-            steps.append(abs(h))
-            phi += h
-        return best_f
+    norms = {}
+    for size, stack in stacks.items():
+        ys = sorted({yi for geo in geometry for s, _, yi in geo if s == size})
+        for c in _chunks(len(ys), stack[0].nbytes):
+            tops = np.linalg.svd(stack[ys[c]], compute_uv=False)[:, 0]
+            norms.update(((size, yi), top) for yi, top in zip(ys[c], tops.tolist()))
+    searches = [
+        _phase_search(phi, max(norms[size, yi] for size, _, yi in geo)) for geo, phi in zip(geometry, phi0)
+    ]
+    distances: list[float] = [0.0] * len(pairs)
+    pending = {p: next(search) for p, search in enumerate(searches)}
+    while pending:
+        replies: dict[int, list] = {}
+        for full in (False, True):
+            asks = [(p, phases) for p, (kind, phases) in pending.items() if kind == full]
+            items = [(*blk, phi) for p, phases in asks for phi in phases for blk in geometry[p]]
+            results = iter(_stacked_svd(stacks, items, full))
+            for p, phases in asks:
+                replies[p] = [[next(results) for _ in geometry[p]] for _ in phases]
+        for p in list(pending):
+            try:
+                pending[p] = searches[p].send(replies[p])
+            except StopIteration as stop:
+                distances[p] = stop.value
+                del pending[p]
+    return distances
 
-    phi0 = float(np.angle(np.vdot(b, a)))
-    f0 = dist(phi0)
-    norm_b = max(top(y) for _, y in pairs)
-    half = 2.0 * math.asin(f0 / norm_b) if f0 < norm_b else math.pi
-    k = int(half // _PHASE_STEP)
-    scan = phi0 + _PHASE_STEP * np.arange(-k, k + 1)
-    values = [f0 if j == k else dist(p) for j, p in enumerate(scan)]
-    order = np.argsort(values, kind="stable")
-    best_f = refine(int(order[0]), min(values))
-    if f0 >= norm_b:
-        # every phi lies within half a step of a scan point
-        for j in order[1:]:
-            if values[j] - 0.5 * _PHASE_STEP * norm_b >= best_f:
-                break
-            best_f = refine(int(j), best_f, norm_b)
-    return best_f
+
+def phase_aligned_distance(
+    u1: np.ndarray, u2: np.ndarray, projector: np.ndarray | None = None
+) -> float:
+    """min over phi of ||P U1 P - e^{i phi} P U2 P||: phase_aligned_distances([(u1, u2)], projector)[0].
+
+    phase_aligned_distances describes the search; a batch of one pair gives
+    the same value, bit for bit, as the same pair in any larger batch.
+    """
+    return phase_aligned_distances([(u1, u2)], projector)[0]
 
 
 def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> PropagatorBundle:
@@ -362,13 +495,8 @@ def error_report(
     proj = project_buffer(spec, buffer)
     bundle = propagator_bundle(params, spec, t)
     ue, ur, m1, m2 = bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2
-    table = {
-        "err_rwa": phase_aligned_distance(ue, ur, proj),
-        "err_magnus1": phase_aligned_distance(ue, m1, proj),
-        "err_magnus2": phase_aligned_distance(ue, m2, proj),
-        "rwa_vs_magnus1": phase_aligned_distance(ur, m1, proj),
-        "rwa_vs_magnus2": phase_aligned_distance(ur, m2, proj),
-        "magnus1_vs_magnus2": phase_aligned_distance(m1, m2, proj),
-        "convergence_margin": convergence_margin(params, t),
-    }
+    names = ("err_rwa", "err_magnus1", "err_magnus2", "rwa_vs_magnus1", "rwa_vs_magnus2", "magnus1_vs_magnus2")
+    pairs = [(ue, ur), (ue, m1), (ue, m2), (ur, m1), (ur, m2), (m1, m2)]
+    table = dict(zip(names, phase_aligned_distances(pairs, proj)))
+    table["convergence_margin"] = convergence_margin(params, t)
     return bundle, table

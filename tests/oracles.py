@@ -38,15 +38,18 @@ def midpoint_extrapolated(params, spec, t: float, steps: int, rwa: bool) -> np.n
 
 
 def phase_scan_distance(u1, u2, projector=None) -> float:
-    """min over phi of ||P U1 P - e^{i phi} P U2 P||: a 96-point scan of the
-    whole circle, then golden-section refinement around the best point until
-    the bracket cannot shrink further in floating point.
+    """min over phi of f(phi) = ||P U1 P - e^{i phi} P U2 P||: a 96-point scan of
+    the whole circle, then golden-section refinement within one scan step of
+    every scan point that the Lipschitz bound cannot rule out, each until the
+    bracket cannot shrink further in floating point.
 
-    Returns the smallest value evaluated, so it converges to rounding at
-    kinks as well as at smooth minima.  Far-apart arguments (f(phi0) >= ||B||
-    in phase_aligned_distance's terms) can have several local minima within
-    one scan step, and the bracket may then hold a local one, so the result
-    is reliable only where the certified arc applies.
+    f is ||B||-Lipschitz in phi (B = P U2 P), and every phase lies within half
+    a step of a scan point p, so p can hold a lower value only if
+    f(p) - ||B|| step / 2 is below the best value found.  Those points are
+    refined in increasing f.  Far-apart arguments can have several local
+    minima, and this reaches the global one unless two of them share a
+    bracket.  Returns the smallest value evaluated, so it converges to
+    rounding at kinks as well as at smooth minima.
     """
     a = np.asarray(u1, dtype=complex)
     b = np.asarray(u2, dtype=complex)
@@ -57,27 +60,34 @@ def phase_scan_distance(u1, u2, projector=None) -> float:
     def dist(phi: float) -> float:
         return float(np.linalg.svd(a - np.exp(1j * phi) * b, compute_uv=False)[0])
 
-    coarse = np.linspace(-np.pi, np.pi, 97)[:-1]
-    values = [dist(p) for p in coarse]
-    k = int(np.argmin(values))
-    step = coarse[1] - coarse[0]
-    lo, hi = coarse[k] - step, coarse[k] + step
-
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = dist(x1), dist(x2)
-    best = min(min(values), f1, f2)
-    while lo < x1 < x2 < hi:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = dist(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = dist(x2)
-        best = min(best, f1, f2)
+
+    def golden(lo: float, hi: float) -> float:
+        x1 = hi - invphi * (hi - lo)
+        x2 = lo + invphi * (hi - lo)
+        f1, f2 = dist(x1), dist(x2)
+        best = min(f1, f2)
+        while lo < x1 < x2 < hi:
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - invphi * (hi - lo)
+                f1 = dist(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + invphi * (hi - lo)
+                f2 = dist(x2)
+            best = min(best, f1, f2)
+        return best
+
+    coarse = np.linspace(-np.pi, np.pi, 97)[:-1]
+    step = coarse[1] - coarse[0]
+    values = [dist(p) for p in coarse]
+    lipschitz = float(np.linalg.svd(b, compute_uv=False)[0])
+    best = min(values)
+    for k in np.argsort(values, kind="stable"):
+        if values[k] - 0.5 * step * lipschitz >= best:
+            break
+        best = min(best, golden(coarse[k] - step, coarse[k] + step))
     return best
 
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,6 +297,22 @@ def test_verify_builds_inner_sums_once(monkeypatch, capsys):
     assert cli.cmd_verify(RunConfig()) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_verify_antihermiticity_fails_on_parity_coupling(monkeypatch, capsys):
+    # the ANTIHERMITICITY norms are taken per parity block; a generator with
+    # an (anti-Hermitian) entry between the blocks fails instead of passing
+    real_omega1 = cli.omega1_closed
+
+    def coupled(params, spec, t):
+        res = real_omega1(params, spec, t)
+        leak = np.zeros((spec.dim, spec.dim), dtype=complex)
+        leak[0, 1], leak[1, 0] = 1e-3, -1e-3  # |0,e> and |0,g> differ in parity
+        return replace(res, omega1=res.omega1 + leak)
+
+    monkeypatch.setattr(cli, "omega1_closed", coupled)
+    assert cli.cmd_verify(RunConfig(fock_dim=8, quad_steps=256)) == 1
+    assert "ANTIHERMITICITY FAIL inf" in capsys.readouterr().out
 
 
 def test_verify_large_quad_steps():

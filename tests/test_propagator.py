@@ -4,9 +4,11 @@ import pytest
 from jcmagnus.hilbert import HilbertSpec, annihilation, commutator, creation, spectral_norm, tensor
 from jcmagnus.jc_model import ModelParams, frame_phases, h_rwa
 from jcmagnus.propagator import (
+    _parity_block_norms,
     _parity_blocks,
     error_report,
     phase_aligned_distance,
+    phase_aligned_distances,
     project_buffer,
     propagator_bundle,
     u_exact,
@@ -14,7 +16,7 @@ from jcmagnus.propagator import (
     u_rwa,
     unitarity_defect,
 )
-from conftest import random_unitary
+from conftest import random_antihermitian, random_unitary
 from oracles import (
     eigenphase_arc_distance,
     midpoint_extrapolated,
@@ -241,11 +243,18 @@ def test_phase_alignment_degenerate_inputs(g):
 
 def test_phase_alignment_without_parity_structure(rng):
     # random unitaries couple every index, so the distance takes the
-    # single-block path, and they are far apart, so the whole circle is scanned
-    u1, u2 = random_unitary(rng, 10), random_unitary(rng, 10)
+    # single-block path, and they are far apart, so the whole circle is
+    # scanned: against the eigenphase closed form without a projector, and
+    # against the scan oracle, which refines every scan point the Lipschitz
+    # bound leaves open, with one
     proj = project_buffer(HilbertSpec(5), 1)
-    for p in (None, proj):
-        assert abs(phase_aligned_distance(u1, u2, p) - phase_scan_distance(u1, u2, p)) <= 1e-9
+    haar = [(random_unitary(rng, 10), random_unitary(rng, 10)) for _ in range(8)]
+    for u1, u2 in haar:
+        want = eigenphase_arc_distance(u1, u2)
+        assert abs(phase_aligned_distance(u1, u2) - want) <= 1e-12 * want + 1e-15
+        want = phase_scan_distance(u1, u2, proj)
+        assert abs(phase_aligned_distance(u1, u2, proj) - want) <= 1e-12 * want + 1e-15
+    u1, u2 = haar[0]
     near = u1 @ (np.eye(10) + 1e-3 * (u2 - u2.conj().T))
     for p in (None, proj):
         want = phase_scan_distance(u1, near, p)
@@ -263,6 +272,58 @@ def test_phase_alignment_global_minimum_far_apart(seed):
         want = eigenphase_arc_distance(u1, u2)
         got = phase_aligned_distance(u1, u2)
         assert abs(got - want) <= 1e-12 * want + 1e-15, (k, got, want)
+
+
+def test_phase_aligned_distances_batch_independent():
+    # one call over a mix of pairs returns, bit for bit, what each pair
+    # gives alone: library pairs at two sizes (certified arc), far-apart Haar
+    # pairs (whole circle), identical pairs (distance 0) and pairs that
+    # couple the parity blocks (searched as one block)
+    from jcmagnus.hilbert import expm_antiherm
+
+    rng = np.random.default_rng(20261018)
+    pairs = []
+    for fock, w0 in ((12, 0.8), (24, 1.1)):
+        bundle = propagator_bundle(ModelParams(1.0, w0, 0.05), HilbertSpec(fock), 1.0)
+        ue, m2 = bundle.u_exact, bundle.u_magnus2
+        coupled = ue @ expm_antiherm(1e-3 * random_antihermitian(rng, 2 * fock))
+        pairs += [(ue, bundle.u_rwa), (ue, m2), (m2, m2), (ue, coupled), (coupled, m2)]
+    pairs += [(random_unitary(rng, dim), random_unitary(rng, dim)) for dim in (8, 24)]
+    proj = project_buffer(HilbertSpec(12), 2)
+    for batch, p in ((pairs, None), (pairs[:5] + pairs[-1:], proj)):
+        got = phase_aligned_distances(batch, p)
+        assert got == [phase_aligned_distance(u1, u2, p) for u1, u2 in batch]
+        assert [d == 0.0 for d in got] == [u1 is u2 for u1, u2 in batch]
+
+
+def test_error_report_stacks_svd_calls(monkeypatch):
+    # the six distances of a row share stacked LAPACK calls: starting values,
+    # scan, and one call per refinement round (116 single calls before)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    error_report(PARAMS, HilbertSpec(12), 1.0)
+    assert 0 < len(calls) <= 16
+
+
+def test_parity_block_norms(rng):
+    # per-block norms equal the norm of the projected matrix for a
+    # parity-conserving matrix, and a matrix that couples the blocks gets inf
+    spec = HilbertSpec(8)
+    proj = project_buffer(spec, 2)
+    bundle = propagator_bundle(PARAMS, spec, 1.0)
+    mats = [bundle.u_exact - bundle.u_magnus2, bundle.u_rwa, u_magnus(PARAMS, spec, 1.0, 1) - np.eye(16)]
+    for p in (None, proj):
+        got = _parity_block_norms(mats, p)
+        want = [spectral_norm(m if p is None else p @ m @ p) for m in mats]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    coupled = bundle.u_exact + 1e-3 * random_unitary(rng, 16)
+    assert _parity_block_norms([bundle.u_rwa, coupled], proj) == [pytest.approx(1.0), np.inf]
 
 
 def test_phase_alignment_rejects_non_diagonal_projector():
