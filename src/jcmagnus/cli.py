@@ -42,17 +42,17 @@ from .magnus import (
 from .observables import (
     SqueezingReport,
     _bs_phase,
+    _gaussian_squeezing,
     gaussian_squeeze_extrema,
     squeezing_report,
 )
 from .propagator import (
+    _DISTANCE_PAIRS,
     _parity_block_norms,
-    error_report,
+    _propagators,
     phase_aligned_distances,
     project_buffer,
     propagator_bundle,
-    u_exact,
-    u_magnus,
     unitarity_defect,
 )
 
@@ -147,16 +147,21 @@ def _fmt(value) -> str:
 
 
 def _evaluate(
-    cfg: RunConfig, omega0: float, g: float, t: float
+    cfg: RunConfig, omega0: float, g: float, t: float, distances: tuple[str, ...]
 ) -> tuple[SweepRow, dict[str, float], SqueezingReport]:
-    """The row, error table and squeezing report at one point, each computed once."""
+    """The row, the named distances of error_report's table and the squeezing readout at one point.
+
+    Each object is computed once: one stacked exponential for the four
+    propagators, one phase_aligned_distances call, and the exact Gaussian
+    squeezing readout (no Fock space).
+    """
     params = ModelParams(cfg.omega, omega0, g)
     spec = HilbertSpec(cfg.fock_dim)
-    bundle, table = error_report(params, spec, t, buffer=cfg.buffer)
+    bundle = propagator_bundle(params, spec, t)
+    pairs = [(getattr(bundle, a), getattr(bundle, b)) for a, b in map(_DISTANCE_PAIRS.get, distances)]
+    table = dict(zip(distances, phase_aligned_distances(pairs, project_buffer(spec, cfg.buffer))))
     zeta = integrals_closed(params, t).zeta
-    # the squeezing readout needs room for the squeezed-vacuum tail
-    sq_spec = HilbertSpec(max(cfg.fock_dim, 16))
-    sq = squeezing_report(params, sq_spec, t, atom="e")
+    sq = _gaussian_squeezing(params, t, atom="e")
     measured, predicted = _bs_phase(bundle.u_exact, bundle.u_rwa, params, spec, t)
     margin = convergence_margin(params, t)
     if margin < 0.3 and table["err_magnus2"] > table["err_magnus1"]:
@@ -189,7 +194,7 @@ def _evaluate(
 
 def compute_row(cfg: RunConfig, omega0: float, g: float, t: float) -> SweepRow:
     """One sweep row; the report command prints exactly these values."""
-    return _evaluate(cfg, omega0, g, t)[0]
+    return _evaluate(cfg, omega0, g, t, ("err_rwa", "err_magnus1", "err_magnus2"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +319,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     # order-by-order error scaling against the exact propagator
     if in_regime and cfg.t > 0:
         gs = (0.01, 0.02, 0.04)
-        pairs = []
-        for gv in gs:
-            p = ModelParams(cfg.omega, cfg.omega0, gv)
-            ue = u_exact(p, spec, cfg.t)
-            pairs += [(ue, u_magnus(p, spec, cfg.t, order=1)), (ue, u_magnus(p, spec, cfg.t, order=2))]
+        kinds = ("exact", "magnus1", "magnus2")
+        us = _propagators(
+            spec, [(ModelParams(cfg.omega, cfg.omega0, gv), cfg.t, k) for gv in gs for k in kinds]
+        )
+        pairs = [(us[i], us[i + order]) for i in range(0, len(us), 3) for order in (1, 2)]
         errs = phase_aligned_distances(pairs, proj)
         err1, err2 = errs[0::2], errs[1::2]
         s1 = _fit_log2_slope(gs, err1)
@@ -368,7 +373,7 @@ def cmd_report(cfg: RunConfig) -> int:
     """Single-point human-readable report (plus the sweep-row values verbatim)."""
     cfg.validate()
     params = ModelParams(cfg.omega, cfg.omega0, cfg.g)
-    row, table, sq = _evaluate(cfg, cfg.omega0, cfg.g, cfg.t)
+    row, table, sq = _evaluate(cfg, cfg.omega0, cfg.g, cfg.t, tuple(_DISTANCE_PAIRS))
 
     print("== parameter point ==")
     for name in ("omega", "omega0", "g", "t", "fock_dim"):

@@ -147,26 +147,12 @@ def _variance_extrema(psi: StateVector) -> tuple[float, float, float]:
     return mid - half, _min_angle(c), mid + half
 
 
-def squeezing_report(
-    params: ModelParams, spec: HilbertSpec, t: float, atom: str
+def _squeezing(
+    params: ModelParams, t: float, atom: str, extrema: tuple[float, float, float]
 ) -> SqueezingReport:
-    """Quadrature extrema of vacuum (x) |atom> evolved under exp(Omega_2) alone.
-
-    The extrema over theta are exact (see _variance_extrema).  To leading
-    order the minimum variance is e^{-2r}/4 with r = g^2 |zeta|; the number
-    phase of Omega_2 does not commute with the squeeze, and
-    gaussian_squeeze_extrema gives the exact value without a Fock cutoff.
-    Needs fock_dim >= 16 so the squeezed vacuum tail fits.
-    """
-    if atom not in _ATOM_INDEX:
-        raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
-    if spec.fock_dim < 16:
-        raise ValueError(f"fock_dim must be >= 16 for the squeezing readout, got {spec.fock_dim}")
-    sz = 1 if atom == "e" else -1
-    r_pred, xi_angle = squeeze_params(params, t, sz)
-    om2 = omega2_closed(params, spec, t).omega2
-    psi = evolve(expm_antiherm(om2), basis_state(spec, 0, atom))
-    var_min, theta_min, var_max = _variance_extrema(psi)
+    """The report of (var_min, theta_min, var_max) next to the paper's prediction."""
+    r_pred, xi_angle = squeeze_params(params, t, 1 if atom == "e" else -1)
+    var_min, theta_min, var_max = extrema
     return SqueezingReport(
         r_pred=r_pred,
         theta_pred=(0.5 * xi_angle) % np.pi,
@@ -177,8 +163,29 @@ def squeezing_report(
     )
 
 
-def gaussian_squeeze_extrema(params: ModelParams, t: float, atom: str) -> tuple[float, float]:
-    """Exact (var_min, theta_min) of vacuum (x) |atom> under exp(Omega_2), no Fock cutoff.
+def squeezing_report(
+    params: ModelParams, spec: HilbertSpec, t: float, atom: str
+) -> SqueezingReport:
+    """Quadrature extrema of vacuum (x) |atom> evolved under exp(Omega_2) alone, on a truncated Fock space.
+
+    The extrema over theta are exact (see _variance_extrema).  To leading
+    order the minimum variance is e^{-2r}/4 with r = g^2 |zeta|; the number
+    phase of Omega_2 does not commute with the squeeze.  _gaussian_extrema
+    gives the exact values without a Fock cutoff, and the report and sweep
+    commands read those; this readout is their independent check.  Needs
+    fock_dim >= 16 so the squeezed vacuum tail fits.
+    """
+    if atom not in _ATOM_INDEX:
+        raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
+    if spec.fock_dim < 16:
+        raise ValueError(f"fock_dim must be >= 16 for the squeezing readout, got {spec.fock_dim}")
+    om2 = omega2_closed(params, spec, t).omega2
+    psi = evolve(expm_antiherm(om2), basis_state(spec, 0, atom))
+    return _squeezing(params, t, atom, _variance_extrema(psi))
+
+
+def _gaussian_extrema(params: ModelParams, t: float, atom: str) -> tuple[float, float, float]:
+    """Exact (var_min, theta_min, var_max) of vacuum (x) |atom> under exp(Omega_2), no Fock cutoff.
 
     On the sector sigma_z = sz, Omega_2 acts on the field as
     i phi n + (xi^* a^2 - xi a^dag^2)/2 plus a constant phase, with
@@ -187,8 +194,9 @@ def gaussian_squeeze_extrema(params: ModelParams, t: float, atom: str) -> tuple[
     with (mu, nu) the first row of exp(M), M = [[i phi, -xi], [-xi^*, -i phi]].
     M^2 = kappa^2 I with kappa^2 = |xi|^2 - phi^2, hence
     exp(M) = cosh(kappa) I + sinh(kappa)/kappa M.  The evolved vacuum has
-    <a> = 0, <a^2> = mu nu and <a^dag a> = |nu|^2, so
-    var_min = (|mu| - |nu|)^2 / 4 at theta = (arg(mu nu) + pi)/2 mod pi.
+    <a> = 0, <a^2> = mu nu and <a^dag a> = |nu|^2, so by _variance_extrema
+    var_min, var_max = (|mu| -+ |nu|)^2 / 4 (|mu|^2 - |nu|^2 = 1), the
+    minimum at theta = (arg(mu nu) + pi)/2 mod pi.
 
     e^{-2r}/4 with r = |xi| is the phi -> 0 limit of var_min: the number
     phase does not commute with the squeeze.
@@ -203,7 +211,21 @@ def gaussian_squeeze_extrema(params: ModelParams, t: float, atom: str) -> tuple[
     ratio = np.sinh(kappa) / kappa if kappa != 0 else 1.0
     mu = complex(np.cosh(kappa) + ratio * 1j * phi)
     nu = complex(-ratio * xi)
-    return 0.25 * (abs(mu) - abs(nu)) ** 2, _min_angle(mu * nu)
+    return 0.25 * (abs(mu) - abs(nu)) ** 2, _min_angle(mu * nu), 0.25 * (abs(mu) + abs(nu)) ** 2
+
+
+def gaussian_squeeze_extrema(params: ModelParams, t: float, atom: str) -> tuple[float, float]:
+    """Exact (var_min, theta_min) of vacuum (x) |atom> under exp(Omega_2), no Fock cutoff.
+
+    See _gaussian_extrema for the Bogoliubov form this is read from.
+    """
+    var_min, theta_min, _ = _gaussian_extrema(params, t, atom)
+    return var_min, theta_min
+
+
+def _gaussian_squeezing(params: ModelParams, t: float, atom: str) -> SqueezingReport:
+    """squeezing_report's fields from the exact Gaussian readout (_gaussian_extrema), no Fock space."""
+    return _squeezing(params, t, atom, _gaussian_extrema(params, t, atom))
 
 
 def _bs_phase(

@@ -18,9 +18,12 @@ unitary by construction, with no time stepping.
 
 Every operator here conserves the parity of n + [atom excited], because the
 counter-rotating terms change the excitation number by two.  Each exponential
-is taken per parity block (two fock_dim eigendecompositions, in one stacked
-call, instead of one of size 2 fock_dim), so cross-parity entries of all four
-propagators are exactly zero.
+is taken per parity block (two fock_dim eigendecompositions instead of one of
+size 2 fock_dim), so cross-parity entries of all four propagators are exactly
+zero.  propagator_bundle builds Omega_1 once for both Magnus propagators and
+exponentiates the blocks of all four generators in stacked eigh calls, each
+stack capped at _STACK_BYTES; u_exact, u_rwa and u_magnus are the one-request
+case of the same path (_propagators), and give the same matrices bit for bit.
 
 Error comparisons are phase-aligned spectral-norm distances restricted to a
 buffered Fock subspace, because ladder truncation corrupts the top levels and
@@ -74,6 +77,16 @@ _ULPS = 4
 # Cap on each stacked operand of the distances' LAPACK calls: small blocks
 # stack fully, blocks above it go one per call.
 _STACK_BYTES = 128 * 1024
+# The distances error_report tabulates: name -> the two PropagatorBundle
+# fields compared.  The first three are the errors against u_exact.
+_DISTANCE_PAIRS = {
+    "err_rwa": ("u_exact", "u_rwa"),
+    "err_magnus1": ("u_exact", "u_magnus1"),
+    "err_magnus2": ("u_exact", "u_magnus2"),
+    "rwa_vs_magnus1": ("u_rwa", "u_magnus1"),
+    "rwa_vs_magnus2": ("u_rwa", "u_magnus2"),
+    "magnus1_vs_magnus2": ("u_magnus1", "u_magnus2"),
+}
 
 
 @dataclass(frozen=True)
@@ -122,52 +135,82 @@ def _couples_blocks(m: np.ndarray, blocks: list[np.ndarray]) -> bool:
     )
 
 
-def _expm_blockwise(gen: np.ndarray) -> np.ndarray:
-    """exp(G) of a parity-conserving anti-Hermitian G on 2 fock_dim states.
+def _chunks(n: int, item_bytes: int) -> list[slice]:
+    """Slices of n stacked items, each stack at most _STACK_BYTES (one item at least)."""
+    per = max(1, _STACK_BYTES // item_bytes)
+    return [slice(lo, lo + per) for lo in range(0, n, per)]
 
-    The two parity blocks have fock_dim states each, so one stacked
-    expm_antiherm exponentiates both.
+
+def _expm_blockwise(gens: list[np.ndarray]) -> list[np.ndarray]:
+    """exp(G) of each parity-conserving anti-Hermitian G, all on the same 2 fock_dim states.
+
+    Each generator is sliced into its two parity blocks of fock_dim states,
+    and all the blocks go through stacked expm_antiherm calls, each stack
+    capped at _STACK_BYTES.
     """
-    blocks = _parity_blocks(np.arange(gen.shape[0]))
-    if _couples_blocks(gen, blocks):
+    if not gens:
+        return []
+    blocks = _parity_blocks(np.arange(gens[0].shape[0]))
+    if any(_couples_blocks(gen, blocks) for gen in gens):
         raise ValueError("generator couples the two excitation-parity blocks")
-    subs = [np.ix_(blk, blk) for blk in blocks]
-    u = np.zeros(gen.shape, dtype=complex)
-    for sub, block in zip(subs, expm_antiherm(np.stack([gen[sub] for sub in subs]))):
-        u[sub] = block
-    return u
+    us = [np.zeros(gen.shape, dtype=complex) for gen in gens]
+    pieces = [(gen, u, np.ix_(blk, blk)) for gen, u in zip(gens, us) for blk in blocks]
+    for c in _chunks(len(pieces), np.dtype(complex).itemsize * blocks[0].size ** 2):
+        exps = expm_antiherm(np.stack([gen[sub] for gen, _, sub in pieces[c]]))
+        for (_, u, sub), block in zip(pieces[c], exps):
+            u[sub] = block
+    return us
 
 
-def _frame_propagator(params: ModelParams, spec: HilbertSpec, t: float, rwa: bool) -> np.ndarray:
-    """D(t) exp(-i t (H(0) + F)) for H = h_rwa or h_rotated."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t == 0.0 or params.g == 0.0:
-        return np.eye(spec.dim, dtype=complex)
-    phases = frame_phases(params, spec)
-    h0 = h_rwa(params, spec, 0.0) if rwa else h_rotated(params, spec, 0.0)
-    u_lab = _expm_blockwise(-1j * t * (h0 + np.diag(phases)))
-    return np.exp(1j * t * phases)[:, None] * u_lab
+def _propagators(spec: HilbertSpec, requests: list[tuple[ModelParams, float, str]]) -> list[np.ndarray]:
+    """The propagator of each (params, t, kind) request, kind "exact", "rwa", "magnus1" or "magnus2".
+
+    Every exponential goes through one _expm_blockwise call.  The frame
+    kinds are D(t) exp(-i t (H(0) + F)) with H = h_rotated ("exact") or
+    h_rwa ("rwa"), exactly the identity at t = 0 or g = 0.  Omega_1 is
+    built once per (params, t) and shared by both Magnus orders.
+    """
+    out: list[np.ndarray | None] = [None] * len(requests)
+    gens: list[np.ndarray] = []
+    frames: list[tuple[int, np.ndarray | None]] = []  # (request, D(t) diagonal or None) per generator
+    omega1: dict[tuple[ModelParams, float], np.ndarray] = {}
+    for i, (params, t, kind) in enumerate(requests):
+        if t < 0:
+            raise ValueError(f"t must be non-negative, got {t}")
+        if kind in ("exact", "rwa"):
+            if t == 0.0 or params.g == 0.0:
+                out[i] = np.eye(spec.dim, dtype=complex)
+                continue
+            phases = frame_phases(params, spec)
+            h0 = h_rwa(params, spec, 0.0) if kind == "rwa" else h_rotated(params, spec, 0.0)
+            gens.append(-1j * t * (h0 + np.diag(phases)))
+            frames.append((i, np.exp(1j * t * phases)))
+        else:
+            if (params, t) not in omega1:
+                omega1[params, t] = omega1_closed(params, spec, t).omega1
+            gen = omega1[params, t]
+            gens.append(gen + omega2_closed(params, spec, t).omega2 if kind == "magnus2" else gen)
+            frames.append((i, None))
+    for (i, frame), u in zip(frames, _expm_blockwise(gens)):
+        out[i] = u if frame is None else frame[:, None] * u
+    return out
 
 
 def u_exact(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Exact propagator of h_rotated over [0, t]."""
-    return _frame_propagator(params, spec, t, rwa=False)
+    return _propagators(spec, [(params, t, "exact")])[0]
 
 
 def u_rwa(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Exact propagator of the RWA Hamiltonian h_rwa over [0, t]."""
-    return _frame_propagator(params, spec, t, rwa=True)
+    return _propagators(spec, [(params, t, "rwa")])[0]
 
 
 def u_magnus(params: ModelParams, spec: HilbertSpec, t: float, order: int) -> np.ndarray:
     """exp(Omega_1) or exp(Omega_1 + Omega_2); a single exponential of the sum."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    gen = omega1_closed(params, spec, t).omega1
-    if order == 2:
-        gen = gen + omega2_closed(params, spec, t).omega2
-    return _expm_blockwise(gen)
+    return _propagators(spec, [(params, t, f"magnus{order}")])[0]
 
 
 def _kept_indices(projector: np.ndarray) -> np.ndarray:
@@ -260,18 +303,16 @@ def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
 def _phase_search(phi0: float, norm_b: float):
     """The phase search of one pair, as a generator driven by phase_aligned_distances.
 
-    It yields (full, phases) and is sent, per phase, one result per block of
-    the pair: the top singular value of the block of A - e^{i phi} B
-    (full=False) or its top branches (full=True, _top_branches).  It returns
-    the distance.
+    It yields (full, phases).  With full=False it is sent f(phi) per phase,
+    the largest top singular value of the blocks of A - e^{i phi} B; with
+    full=True, for its one phase, the top branches (_top_branches) of all
+    blocks in one list.  It returns the distance.
     """
-    (tops,) = yield False, [phi0]
-    f0 = max(tops)
+    (f0,) = yield False, [phi0]
     half = 2.0 * math.asin(f0 / norm_b) if f0 < norm_b else math.pi
     k = int(half // _PHASE_STEP)
     scan = phi0 + _PHASE_STEP * np.arange(-k, k + 1)
-    per_phase = yield False, np.delete(scan, k)
-    values = [max(tops) for tops in per_phase]
+    values = yield False, np.delete(scan, k)
     values.insert(k, f0)
 
     def refine(j: int, best_f: float, lipschitz: float | None = None):
@@ -288,8 +329,7 @@ def _phase_search(phi0: float, norm_b: float):
             tol = _ULPS * math.ulp(max(abs(phi), 1.0))
             if hi - lo <= tol:
                 break
-            (per_block,) = yield True, [phi]
-            branches = [br for block in per_block for br in block]
+            branches = yield True, [phi]
             f, slope, _ = max(branches)
             best_f = min(best_f, f)
             if lipschitz is not None and f - lipschitz * (hi - lo) >= best_f:
@@ -321,33 +361,26 @@ def _phase_search(phi0: float, norm_b: float):
     return best_f
 
 
-def _chunks(n: int, item_bytes: int) -> list[slice]:
-    """Slices of n stacked items, each stack at most _STACK_BYTES (one item at least)."""
-    per = max(1, _STACK_BYTES // item_bytes)
-    return [slice(lo, lo + per) for lo in range(0, n, per)]
+def _stacked_svd(
+    stacks: dict[int, np.ndarray], items: np.ndarray, phis: np.ndarray, full: bool
+) -> np.ndarray | list:
+    """Top singular value (full=False) or top branches (full=True) of x - e^{i phi} y, per item.
 
-
-def _stacked_svd(stacks: dict[int, np.ndarray], items: list[tuple], full: bool) -> list:
-    """Top singular value (full=False) or top branches (full=True) of x - e^{i phi} y.
-
-    items holds (size, x slot, y slot, phi), the slots indexing stacks[size].
-    Items of one size share stacked LAPACK calls, chunked by _chunks.
+    items has one row (size, x slot, y slot) per item, the slots indexing
+    stacks[size], and phis the item's phase.  Items of one size share
+    stacked LAPACK calls, chunked by _chunks.
     """
-    out: list = [None] * len(items)
+    out = [None] * len(items) if full else np.empty(len(items))
     for size, stack in stacks.items():
-        sel = [i for i, item in enumerate(items) if item[0] == size]
-        if not sel:
-            continue
-        _, xi, yi, phi = (np.array(col) for col in zip(*(items[i] for i in sel)))
-        z = np.exp(1j * phi)
+        sel = np.flatnonzero(items[:, 0] == size)
+        z = np.exp(1j * phis[sel])
         for c in _chunks(len(sel), stack[0].nbytes):
-            x, y = stack[xi[c]], stack[yi[c]]
+            x, y = stack[items[sel[c], 1]], stack[items[sel[c], 2]]
             if full:
-                res = _top_branches(x, y, z[c])
+                for i, r in zip(sel[c].tolist(), _top_branches(x, y, z[c])):
+                    out[i] = r
             else:
-                res = np.linalg.svd(x - z[c, None, None] * y, compute_uv=False)[:, 0].tolist()
-            for i, r in zip(sel[c], res):
-                out[i] = r
+                out[sel[c]] = np.linalg.svd(x - z[c, None, None] * y, compute_uv=False)[:, 0]
     return out
 
 
@@ -406,8 +439,8 @@ def phase_aligned_distances(
         sliced[id(u)] = (m, blocks, _couples_blocks(m, blocks))
     phi0 = [float(np.angle(np.vdot(sliced[id(b)][0], sliced[id(a)][0]))) for a, b in pairs]
 
-    # every block the pairs compare, stacked by size: geometry[p] lists the
-    # (size, x slot, y slot) of pair p's blocks
+    # every block the pairs compare, stacked by size: geometry[p] has one
+    # row (size, x slot, y slot) per block of pair p
     members: dict[int, list[np.ndarray]] = {}
     slots: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -425,30 +458,43 @@ def phase_aligned_distances(
     for a, b in pairs:
         whole = sliced[id(a)][2] or sliced[id(b)][2]
         parts = [-1] if whole else range(len(sliced[id(a)][1]))
-        geometry.append([(*slot(a, w), slot(b, w)[1]) for w in parts])
+        geometry.append(np.array([(*slot(a, w), slot(b, w)[1]) for w in parts]))
     del sliced
     stacks = {size: np.stack(group) for size, group in members.items()}
     del members
 
     norms = {}
     for size, stack in stacks.items():
-        ys = sorted({yi for geo in geometry for s, _, yi in geo if s == size})
+        ys = sorted({yi for geo in geometry for s, _, yi in geo.tolist() if s == size})
         for c in _chunks(len(ys), stack[0].nbytes):
             tops = np.linalg.svd(stack[ys[c]], compute_uv=False)[:, 0]
             norms.update(((size, yi), top) for yi, top in zip(ys[c], tops.tolist()))
     searches = [
-        _phase_search(phi, max(norms[size, yi] for size, _, yi in geo)) for geo, phi in zip(geometry, phi0)
+        _phase_search(phi, max(norms[size, yi] for size, _, yi in geo.tolist()))
+        for geo, phi in zip(geometry, phi0)
     ]
     distances: list[float] = [0.0] * len(pairs)
     pending = {p: next(search) for p, search in enumerate(searches)}
     while pending:
+        # each round's items as columns: one row of `items` and one phase
+        # per (pair, phase, block)
         replies: dict[int, list] = {}
         for full in (False, True):
-            asks = [(p, phases) for p, (kind, phases) in pending.items() if kind == full]
-            items = [(*blk, phi) for p, phases in asks for phi in phases for blk in geometry[p]]
-            results = iter(_stacked_svd(stacks, items, full))
+            asks = [(p, np.asarray(phases, float)) for p, (kind, phases) in pending.items() if kind == full]
+            if not asks:
+                continue
+            items = np.concatenate([np.tile(geometry[p], (len(phases), 1)) for p, phases in asks])
+            phis = np.concatenate([np.repeat(phases, len(geometry[p])) for p, phases in asks])
+            results = _stacked_svd(stacks, items, phis, full)
+            start = 0
             for p, phases in asks:
-                replies[p] = [[next(results) for _ in geometry[p]] for _ in phases]
+                stop = start + len(phases) * len(geometry[p])
+                if full:
+                    replies[p] = [br for res in results[start:stop] for br in res]
+                else:
+                    per_block = results[start:stop].reshape(len(phases), len(geometry[p]))
+                    replies[p] = per_block.max(axis=1).tolist()
+                start = stop
         for p in list(pending):
             try:
                 pending[p] = searches[p].send(replies[p])
@@ -470,15 +516,10 @@ def phase_aligned_distance(
 
 
 def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> PropagatorBundle:
-    """The four propagators at one parameter point."""
-    return PropagatorBundle(
-        u_exact=u_exact(params, spec, t),
-        u_rwa=u_rwa(params, spec, t),
-        u_magnus1=u_magnus(params, spec, t, order=1),
-        u_magnus2=u_magnus(params, spec, t, order=2),
-        params=params,
-        t=t,
-    )
+    """The four propagators at one parameter point, from one stacked exponential."""
+    kinds = ("exact", "rwa", "magnus1", "magnus2")
+    ue, ur, m1, m2 = _propagators(spec, [(params, t, kind) for kind in kinds])
+    return PropagatorBundle(u_exact=ue, u_rwa=ur, u_magnus1=m1, u_magnus2=m2, params=params, t=t)
 
 
 def error_report(
@@ -494,9 +535,7 @@ def error_report(
     """
     proj = project_buffer(spec, buffer)
     bundle = propagator_bundle(params, spec, t)
-    ue, ur, m1, m2 = bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2
-    names = ("err_rwa", "err_magnus1", "err_magnus2", "rwa_vs_magnus1", "rwa_vs_magnus2", "magnus1_vs_magnus2")
-    pairs = [(ue, ur), (ue, m1), (ue, m2), (ur, m1), (ur, m2), (m1, m2)]
-    table = dict(zip(names, phase_aligned_distances(pairs, proj)))
+    pairs = [(getattr(bundle, a), getattr(bundle, b)) for a, b in _DISTANCE_PAIRS.values()]
+    table = dict(zip(_DISTANCE_PAIRS, phase_aligned_distances(pairs, proj)))
     table["convergence_margin"] = convergence_margin(params, t)
     return bundle, table

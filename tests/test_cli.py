@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -10,8 +11,8 @@ from jcmagnus import cli, magnus
 from jcmagnus.cli import SWEEP_FIELDS, RunConfig, load_config_file, main
 from jcmagnus.hilbert import HilbertSpec
 from jcmagnus.jc_model import ModelParams
-from jcmagnus.observables import bs_phase_probe
-from jcmagnus.propagator import error_report
+from jcmagnus.observables import bs_phase_probe, squeezing_report
+from jcmagnus.propagator import error_report, u_exact, u_magnus, u_rwa
 
 FAST = ["--fock-dim", "8", "--quad-steps", "256"]
 
@@ -78,6 +79,9 @@ def test_report_zero_coupling(capsys):
     for name in ("err_rwa", "err_magnus1", "err_magnus2", "r_pred", "bs_measured"):
         assert float(values[name]) == 0.0
     assert float(values["bs_predicted"]) == 0.0
+    # the exact Gaussian readout of exp(0) is the vacuum: no squeeze
+    assert [float(values[k]) for k in ("var_min", "var_max", "theta_min")] == [0.25, 0.25, 0.0]
+    assert abs(float(values["product_check"]) - 1.0 / 16.0) <= 1e-15
 
 
 def test_report_flags_resonance_branch(capsys):
@@ -328,3 +332,56 @@ def test_row_bs_probe_matches_public_probe():
         row = cli.compute_row(cfg, omega0, g, t)
         measured, predicted = bs_phase_probe(ModelParams(cfg.omega, omega0, g), HilbertSpec(8), t)
         assert (row.bs_measured, row.bs_predicted) == (measured, predicted)
+
+
+def test_row_and_report_compute_only_printed_distances(monkeypatch, capsys):
+    # a row computes the three errors against u_exact in one call; the
+    # report adds the three propagator-vs-propagator distances to that call
+    calls = []
+
+    def record(pairs, projector=None):
+        calls.append(list(pairs))
+        return real_distances(pairs, projector)
+
+    real_distances = cli.phase_aligned_distances
+    monkeypatch.setattr(cli, "phase_aligned_distances", record)
+    cfg = RunConfig(fock_dim=8)
+    params, spec = ModelParams(cfg.omega, cfg.omega0, cfg.g), HilbertSpec(8)
+    cli.compute_row(cfg, cfg.omega0, cfg.g, cfg.t)
+    (pairs,) = calls
+    ue = u_exact(params, spec, cfg.t)
+    want = [u_rwa(params, spec, cfg.t), u_magnus(params, spec, cfg.t, 1), u_magnus(params, spec, cfg.t, 2)]
+    assert len(pairs) == 3
+    for (u1, u2), w in zip(pairs, want):
+        assert np.array_equal(u1, ue) and np.array_equal(u2, w)
+    calls.clear()
+    assert cli.cmd_report(cfg) == 0
+    capsys.readouterr()
+    assert [len(pairs) for pairs in calls] == [6]
+
+
+@pytest.mark.parametrize("fock", [8, 12])
+def test_row_errors_match_error_report(fock):
+    # the row's three distances are error_report's, bit for bit
+    cfg = RunConfig(fock_dim=fock)
+    for omega0, g, t in ((0.9, 0.02, 20.0), (0.8, 0.05, 1.0), (1.0, 0.05, 2.5), (1.1, 0.02, 0.5)):
+        row = cli.compute_row(cfg, omega0, g, t)
+        _, table = error_report(ModelParams(cfg.omega, omega0, g), HilbertSpec(fock), t, cfg.buffer)
+        for name in ("err_rwa", "err_magnus1", "err_magnus2"):
+            assert getattr(row, name) == table[name], (omega0, g, t, name)
+
+
+def test_row_squeezing_matches_fock_readout():
+    # the row reads the exact Gaussian extrema of exp(Omega_2); the
+    # truncated-Fock readout agrees with them inside g t / pi < 1
+    cfg = RunConfig(fock_dim=16)
+    for omega0, g, t in itertools.product((0.5, 0.8, 1.0, 1.1, 1.5), (0.02, 0.1), (0.5, 5.0, 30.0)):
+        if g * t / math.pi >= 1.0:
+            continue
+        row = cli.compute_row(cfg, omega0, g, t)
+        for fock in (16, 24):
+            rep = squeezing_report(ModelParams(cfg.omega, omega0, g), HilbertSpec(fock), t, "e")
+            assert abs(row.var_min - rep.var_min) <= 2e-13, (omega0, g, t, fock)
+            assert abs(row.var_max - rep.var_max) <= 2e-13, (omega0, g, t, fock)
+            dtheta = abs(row.theta_min - rep.theta_min) % math.pi
+            assert min(dtheta, math.pi - dtheta) <= 1e-8, (omega0, g, t, fock)

@@ -4,6 +4,7 @@ import pytest
 from jcmagnus.hilbert import HilbertSpec, annihilation, commutator, creation, spectral_norm, tensor
 from jcmagnus.jc_model import ModelParams, frame_phases, h_rwa
 from jcmagnus.propagator import (
+    _expm_blockwise,
     _parity_block_norms,
     _parity_blocks,
     error_report,
@@ -64,6 +65,33 @@ def test_stepping_validation():
         u_rwa(PARAMS, spec, -1.0)
     with pytest.raises(ValueError):
         u_magnus(PARAMS, spec, 1.0, 3)
+
+
+@pytest.mark.parametrize("fock", [8, 12, 48])
+def test_bundle_matches_single_propagators(fock):
+    # one stacked exponential for all four propagators gives, bit for bit,
+    # what each public propagator gives alone
+    spec = HilbertSpec(fock)
+    far, uncoupled = ModelParams(1.0, 1.1, 0.02), ModelParams(1.0, 0.8, 0.0)
+    for params, t in ((PARAMS, 1.0), (far, 20.0), (PARAMS, 0.0), (uncoupled, 2.0)):
+        bundle = propagator_bundle(params, spec, t)
+        assert np.array_equal(bundle.u_exact, u_exact(params, spec, t))
+        assert np.array_equal(bundle.u_rwa, u_rwa(params, spec, t))
+        assert np.array_equal(bundle.u_magnus1, u_magnus(params, spec, t, 1))
+        assert np.array_equal(bundle.u_magnus2, u_magnus(params, spec, t, 2))
+    with pytest.raises(ValueError, match="non-negative"):
+        propagator_bundle(PARAMS, spec, -1.0)
+
+
+def test_expm_blockwise_rejects_bad_generators(rng):
+    # any generator of the list that couples the parity blocks, or that is
+    # not anti-Hermitian, raises
+    spec = HilbertSpec(6)
+    diag = 1j * np.diag(frame_phases(PARAMS, spec))
+    with pytest.raises(ValueError, match="parity"):
+        _expm_blockwise([diag, 0.1 * random_antihermitian(rng, spec.dim)])
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        _expm_blockwise([diag, diag + 0.1 * np.eye(spec.dim)])
 
 
 @pytest.mark.parametrize("steps", [1, 5, 64, 129])
