@@ -48,9 +48,10 @@ from .observables import (
 )
 from .propagator import (
     _DISTANCE_PAIRS,
+    _exponentials,
+    _framed,
     _parity_block_norms,
-    _propagators,
-    phase_aligned_distances,
+    block_distances,
     project_buffer,
     propagator_bundle,
     unitarity_defect,
@@ -152,17 +153,17 @@ def _evaluate(
     """The row, the named distances of error_report's table and the squeezing readout at one point.
 
     Each object is computed once: one stacked exponential for the four
-    propagators, one phase_aligned_distances call, and the exact Gaussian
-    squeezing readout (no Fock space).
+    propagators, one block_distances call on their parity blocks, and the
+    exact Gaussian squeezing readout (no Fock space).
     """
     params = ModelParams(cfg.omega, omega0, g)
-    spec = HilbertSpec(cfg.fock_dim)
-    bundle = propagator_bundle(params, spec, t)
-    pairs = [(getattr(bundle, a), getattr(bundle, b)) for a, b in map(_DISTANCE_PAIRS.get, distances)]
-    table = dict(zip(distances, phase_aligned_distances(pairs, project_buffer(spec, cfg.buffer))))
+    blocks = propagator_bundle(params, HilbertSpec(cfg.fock_dim), t).blocks
+    pairs = [_DISTANCE_PAIRS[name] for name in distances]
+    table = dict(zip(distances, block_distances(blocks, pairs, cfg.buffer)))
     zeta = integrals_closed(params, t).zeta
     sq = _gaussian_squeezing(params, t, atom="e")
-    measured, predicted = _bs_phase(bundle.u_exact, bundle.u_rwa, params, spec, t)
+    # <0, g| U |0, g> is entry (0, 0) of the even parity block
+    measured, predicted = _bs_phase(blocks[0, 0, 0, 0], blocks[1, 0, 0, 0], params, t)
     margin = convergence_margin(params, t)
     if margin < 0.3 and table["err_magnus2"] > table["err_magnus1"]:
         print(
@@ -320,11 +321,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     if in_regime and cfg.t > 0:
         gs = (0.01, 0.02, 0.04)
         kinds = ("exact", "magnus1", "magnus2")
-        us = _propagators(
-            spec, [(ModelParams(cfg.omega, cfg.omega0, gv), cfg.t, k) for gv in gs for k in kinds]
-        )
-        pairs = [(us[i], us[i + order]) for i in range(0, len(us), 3) for order in (1, 2)]
-        errs = phase_aligned_distances(pairs, proj)
+        requests = [(ModelParams(cfg.omega, cfg.omega0, gv), cfg.t, k) for gv in gs for k in kinds]
+        blocks = _framed(*_exponentials(spec, requests))
+        pairs = [(i, i + order) for i in range(0, len(blocks), 3) for order in (1, 2)]
+        errs = block_distances(blocks, pairs, cfg.buffer)
         err1, err2 = errs[0::2], errs[1::2]
         s1 = _fit_log2_slope(gs, err1)
         s2 = _fit_log2_slope(gs, err2)

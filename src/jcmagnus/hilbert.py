@@ -19,11 +19,8 @@ __all__ = [
     "annihilation",
     "anti_hermiticity_defect",
     "anti_herm_tolerance",
-    "commutator",
     "creation",
     "expm_antiherm",
-    "frobenius_norm",
-    "herm_eig",
     "number",
     "pauli",
     "spectral_norm",
@@ -120,22 +117,9 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA for square matrices of matching dimension."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"commutator needs matching square matrices, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(np.asarray(a), 2))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
 def _hermitian_norm(h: np.ndarray) -> float:
@@ -158,14 +142,6 @@ def anti_herm_tolerance(norm: float) -> float:
     return 1e-10 * max(1.0, norm)
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    """a as complex; a square matrix or a stack of them."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def expm_antiherm(gen: np.ndarray) -> np.ndarray:
     """Unitary exponential exp(G) of an anti-Hermitian generator G, or of each G in a stack.
 
@@ -179,7 +155,9 @@ def expm_antiherm(gen: np.ndarray) -> np.ndarray:
     anti-Hermiticity tolerance (scaled by that generator's max |lam|, the
     norm of its anti-Hermitian part).
     """
-    gen = _require_square(gen)
+    gen = np.asarray(gen, dtype=complex)
+    if gen.ndim < 2 or gen.shape[-1] != gen.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {gen.shape}")
     if not np.all(np.isfinite(gen)):
         raise ValueError("generator contains non-finite entries")
     h = 1j * gen
@@ -195,20 +173,3 @@ def expm_antiherm(gen: np.ndarray) -> np.ndarray:
             )
     return (q * np.exp(-1j * lam)[..., None, :]) @ adjoint(q)
 
-
-def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition H = Q diag(lam) Q^dag of a Hermitian matrix.
-
-    Eigenvalues come back ascending.  Rejects inputs whose Hermiticity defect
-    exceeds the shared tolerance.
-    """
-    h = _require_square(h)
-    defect = spectral_norm(h - adjoint(h))
-    tol = anti_herm_tolerance(spectral_norm(h))
-    if defect > tol:
-        raise ValueError(
-            f"matrix is not Hermitian: ||H - H^dag|| = {defect:.3e} exceeds {tol:.3e}"
-        )
-    sym = 0.5 * (h + adjoint(h))
-    lam, q = np.linalg.eigh(sym)
-    return lam, q

@@ -43,9 +43,7 @@ __all__ = [
     "frame_phases",
     "h_full",
     "h_rotated",
-    "h_rotated_stack",
     "h_rwa",
-    "h_rwa_stack",
     "rotation_chain_residual",
     "verify_bch",
 ]
@@ -146,29 +144,6 @@ def h_rwa(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     g = params.g
     d = params.delta
     return g * (1j * np.exp(1j * d * t) * ad_sm - 1j * np.exp(-1j * d * t) * a_sp)
-
-
-def _stack(params: ModelParams, spec: HilbertSpec, ts: np.ndarray, rwa: bool) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
-    g = params.g
-    d, s = params.delta, params.sigma
-    ed = np.exp(1j * d * ts)[:, None, None]
-    out = g * (1j * ed * ad_sm - 1j * ed.conj() * a_sp)
-    if not rwa:
-        es = np.exp(1j * s * ts)[:, None, None]
-        out += g * (1j * es * ad_sp - 1j * es.conj() * a_sm)
-    return out
-
-
-def h_rotated_stack(params: ModelParams, spec: HilbertSpec, ts: np.ndarray) -> np.ndarray:
-    """h_rotated evaluated on a vector of times, shape (len(ts), dim, dim)."""
-    return _stack(params, spec, ts, rwa=False)
-
-
-def h_rwa_stack(params: ModelParams, spec: HilbertSpec, ts: np.ndarray) -> np.ndarray:
-    """h_rwa evaluated on a vector of times."""
-    return _stack(params, spec, ts, rwa=True)
 
 
 def frame_phases(params: ModelParams, spec: HilbertSpec) -> np.ndarray:

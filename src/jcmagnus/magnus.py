@@ -92,6 +92,9 @@ SERIES_THRESHOLD = 0.5
 # Taylor coefficients (-1)^k / (2k + 3)! of (u - sin u) / u^3 in powers of
 # u^2, highest power first for Horner evaluation.
 _PHI_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7, -1, -1))
+# Taylor coefficients (-1)^k 2k / (2k + 1)! of (u cos u - sin u) / u^3 in
+# powers of u^2 (k = 1..10), highest power first (np.polyval).
+_CROSS_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(10, 0, -1))
 # Triangle integrals of the Taylor terms of zeta's integrand, exponents
 # (a, b) of (i delta t1)^a (i sigma t2)^b through total order 20:
 # i^(a+b) / (a! b! (b+1) (a+b+2)).  Order 0 cancels.
@@ -163,11 +166,15 @@ def _phase_ramp(x: float, t: float) -> complex:
 
 
 def zeta_resonance_limit(params: ModelParams, t: float) -> complex:
-    """Analytic limit of zeta as omega0 -> omega (finite: no divergence)."""
-    w = params.omega
-    s = params.sigma
-    e2 = np.exp(2j * w * t)
-    return (1.0 - e2) / (w * s) + 1j * t * (1.0 + e2) / s
+    """Analytic limit of zeta as omega0 -> omega (finite: no divergence).
+
+    (1 - e^{2iu}) / (omega sigma) + i t (1 + e^{2iu}) / sigma, u = omega t,
+    as 2i e^{iu} (u cos u - sin u) / (omega sigma), without the cancelling
+    O(t) terms; below |u| = 1 u cos u - sin u is summed from its own series.
+    """
+    u = params.omega * t
+    cross = np.polyval(_CROSS_SERIES, u * u) * u**3 if abs(u) < 1.0 else u * math.cos(u) - math.sin(u)
+    return complex(2j * np.exp(1j * u) * cross / (params.omega * params.sigma))
 
 
 def _zeta_closed(params: ModelParams, t: float) -> complex:

@@ -228,12 +228,9 @@ def _gaussian_squeezing(params: ModelParams, t: float, atom: str) -> SqueezingRe
     return _squeezing(params, t, atom, _gaussian_extrema(params, t, atom))
 
 
-def _bs_phase(
-    ue: np.ndarray, ur: np.ndarray, params: ModelParams, spec: HilbertSpec, t: float
-) -> tuple[float, float]:
-    """(measured, predicted) Bloch-Siegert phase on |0, g> from u_exact and u_rwa."""
-    idx = spec.index(0, ATOM_GROUND)
-    measured = float(np.angle(ue[idx, idx]) - np.angle(ur[idx, idx]))
+def _bs_phase(exact: complex, rwa: complex, params: ModelParams, t: float) -> tuple[float, float]:
+    """(measured, predicted) Bloch-Siegert phase from <0,g|u_exact|0,g> and <0,g|u_rwa|0,g>."""
+    measured = float(np.angle(exact) - np.angle(rwa))
     measured = (measured + np.pi) % (2.0 * np.pi) - np.pi
     predicted = shift_rates(params, 0, "g")[1] * t
     return measured, predicted
@@ -247,4 +244,5 @@ def bs_phase_probe(params: ModelParams, spec: HilbertSpec, t: float) -> tuple[fl
     second-order shift.  predicted = bs_rate(n=0, ground) * t = g^2 t / sigma.
     Meaningful while g t / pi stays below about one half.
     """
-    return _bs_phase(u_exact(params, spec, t), u_rwa(params, spec, t), params, spec, t)
+    idx = spec.index(0, ATOM_GROUND)
+    return _bs_phase(u_exact(params, spec, t)[idx, idx], u_rwa(params, spec, t)[idx, idx], params, t)

@@ -8,43 +8,37 @@ Four unitaries are produced for a given (params, t):
   * u_magnus2  -- exp(Omega_1 + Omega_2), one exponential of the sum.
 
 Both rotated Hamiltonians obey H(t) = D(t) H(0) D(t)^dag with the diagonal
-frame phase D(t) = exp(i t F), F = diag(frame_phases).  Their propagator is
-therefore the interaction-picture identity
+frame phase D(t) = exp(i t F), F = diag(frame_phases), so their propagator is
+U(t) = D(t) exp(-i t (H(0) + F)): one Hermitian eigendecomposition, exact to
+rounding for every t and unitary by construction.
 
-    U(t) = D(t) exp(-i t (H(0) + F)),
+Block layout.  Every operator here conserves the parity of n + [atom
+excited], because the counter-rotating terms change the excitation number by
+two.  The 2N states (N = fock_dim) split into two parity blocks of N states,
+and inside either block the state of Fock level n sits at position n
+(_block_layout).  A propagator is held as its two blocks, an (2, N, N) array,
+so the buffered window of project_buffer (Fock levels 0 .. N-1-buffer) is the
+leading (N - buffer) corner of each block.  Generators are gathered into
+their blocks by cached index arrays (one that couples the blocks raises), all
+blocks are exponentiated in stacked eigh calls, and D(t) is applied per
+block.  Full 2N x 2N matrices, with cross-parity entries exactly zero, are
+assembled only where they are read: u_exact, u_rwa, u_magnus and the
+PropagatorBundle fields.
 
-a single Hermitian eigendecomposition: exact to rounding for every t and
-unitary by construction, with no time stepping.
-
-Every operator here conserves the parity of n + [atom excited], because the
-counter-rotating terms change the excitation number by two.  Each exponential
-is taken per parity block (two fock_dim eigendecompositions instead of one of
-size 2 fock_dim), so cross-parity entries of all four propagators are exactly
-zero.  propagator_bundle builds Omega_1 once for both Magnus propagators and
-exponentiates the blocks of all four generators in stacked eigh calls, each
-stack capped at _STACK_BYTES; u_exact, u_rwa and u_magnus are the one-request
-case of the same path (_propagators), and give the same matrices bit for bit.
-
-Error comparisons are phase-aligned spectral-norm distances restricted to a
-buffered Fock subspace, because ladder truncation corrupts the top levels and
-two propagators may differ by a physically irrelevant global phase.  The
-minimum over the phase is located by a coarse scan of a certified arc and
-refined with exact first and second derivatives of the top singular values:
-Newton steps at a smooth minimum, branch intersections at a kink where the
-two largest singular values cross (Lewis & Overton, Acta Numerica 5 (1996)
-149), each guarded by a bisection bracket, so distances are exact to
-rounding.  phase_aligned_distances runs the searches of many pairs in
-lockstep, so each stage is one stacked LAPACK call over all pairs and parity
-blocks, with every stacked operand capped at _STACK_BYTES; numpy's stacked
-svd, eigh and matmul are bit-identical per matrix to single calls, so a
-distance does not depend on the pairs it is computed with.
+Errors are phase-aligned spectral-norm distances on the buffered window
+(phase_aligned_distances), because ladder truncation corrupts the top levels
+and two propagators may differ by a global phase.  One search (_search) runs
+the distances of many pairs in lockstep, one stacked LAPACK call per stage;
+block_distances feeds it the block corners, phase_aligned_distances slices
+arbitrary full matrices into the same form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,6 +49,7 @@ from .magnus import convergence_margin, omega1_closed, omega2_closed
 __all__ = [
     "DEFAULT_BUFFER",
     "PropagatorBundle",
+    "block_distances",
     "error_report",
     "phase_aligned_distance",
     "phase_aligned_distances",
@@ -77,28 +72,69 @@ _ULPS = 4
 # Cap on each stacked operand of the distances' LAPACK calls: small blocks
 # stack fully, blocks above it go one per call.
 _STACK_BYTES = 128 * 1024
-# The distances error_report tabulates: name -> the two PropagatorBundle
-# fields compared.  The first three are the errors against u_exact.
+# The propagators of a bundle, in PropagatorBundle order, and the distances
+# error_report tabulates: name -> the positions of the two compared (the
+# first three are the errors against u_exact).
+_KINDS = ("exact", "rwa", "magnus1", "magnus2")
 _DISTANCE_PAIRS = {
-    "err_rwa": ("u_exact", "u_rwa"),
-    "err_magnus1": ("u_exact", "u_magnus1"),
-    "err_magnus2": ("u_exact", "u_magnus2"),
-    "rwa_vs_magnus1": ("u_rwa", "u_magnus1"),
-    "rwa_vs_magnus2": ("u_rwa", "u_magnus2"),
-    "magnus1_vs_magnus2": ("u_magnus1", "u_magnus2"),
+    "err_rwa": (0, 1),
+    "err_magnus1": (0, 2),
+    "err_magnus2": (0, 3),
+    "rwa_vs_magnus1": (1, 2),
+    "rwa_vs_magnus2": (1, 3),
+    "magnus1_vs_magnus2": (2, 3),
 }
+
+
+@lru_cache(maxsize=16)
+def _block_layout(fock_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, gather, cross) of the parity blocks of 2 fock_dim states.
+
+    index[b, n] is the basis index of position n of block b (Fock level n,
+    atom excited iff n + b is odd); gather[b, i, j] is the flat position of
+    block entry (i, j), and cross holds those of the entries between blocks.
+    """
+    n = np.arange(fock_dim)
+    index = 2 * n + 1 - (n + np.arange(2)[:, None]) % 2
+    gather = index[:, :, None] * (2 * fock_dim) + index[:, None, :]
+    cross = np.delete(np.arange(4 * fock_dim * fock_dim), gather.ravel())
+    for a in (index, gather, cross):
+        a.setflags(write=False)
+    return index, gather, cross
+
+
+def _assemble(blocks: np.ndarray, levels: int) -> np.ndarray:
+    """The full matrices on Fock levels 0 .. levels-1 of a stack of (2, N, N) block arrays."""
+    index = _block_layout(blocks.shape[2])[0][:, :levels]
+    at = (index[:, :, None] * (2 * levels) + index[:, None, :]).ravel()
+    full = np.zeros((len(blocks), 4 * levels * levels), dtype=complex)
+    for out, corners in zip(full, blocks[:, :, :levels, :levels]):
+        out[at] = corners.ravel()
+    return full.reshape(len(blocks), 2 * levels, 2 * levels)
 
 
 @dataclass(frozen=True)
 class PropagatorBundle:
-    """The four propagators at one parameter point."""
+    """The four propagators at one parameter point.
 
-    u_exact: np.ndarray
-    u_rwa: np.ndarray
-    u_magnus1: np.ndarray
-    u_magnus2: np.ndarray
+    blocks holds u_exact, u_rwa, u_magnus1, u_magnus2 as parity blocks, shape
+    (4, 2, N, N); |0, g> is position 0 of block 0.  The u_* attributes are
+    the full matrices, assembled when first read.
+    """
+
+    blocks: np.ndarray
     params: ModelParams
     t: float
+    _parts: tuple = field(repr=False, compare=False)  # _full_matrices' arguments
+
+    @cached_property
+    def _matrices(self) -> list[np.ndarray]:
+        return _full_matrices(*self._parts)
+
+    u_exact = property(lambda self: self._matrices[0])
+    u_rwa = property(lambda self: self._matrices[1])
+    u_magnus1 = property(lambda self: self._matrices[2])
+    u_magnus2 = property(lambda self: self._matrices[3])
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -107,12 +143,14 @@ def unitarity_defect(u: np.ndarray) -> float:
     return _hermitian_norm(adjoint(u) @ u - np.eye(u.shape[0]))
 
 
+def _check_buffer(fock_dim: int, buffer: int) -> None:
+    if not 0 <= buffer <= fock_dim - 2:
+        raise ValueError(f"buffer must lie in 0..{fock_dim - 2} for fock_dim={fock_dim}, got {buffer}")
+
+
 def project_buffer(spec: HilbertSpec, buffer: int) -> np.ndarray:
     """Orthogonal projector onto Fock levels 0 .. N-1-buffer (both atom states)."""
-    if not 0 <= buffer <= spec.fock_dim - 2:
-        raise ValueError(
-            f"buffer must lie in 0..{spec.fock_dim - 2} for fock_dim={spec.fock_dim}, got {buffer}"
-        )
+    _check_buffer(spec.fock_dim, buffer)
     keep = np.arange(spec.fock_dim) <= spec.fock_dim - 1 - buffer
     return np.diag(np.repeat(keep, 2).astype(complex))
 
@@ -141,76 +179,86 @@ def _chunks(n: int, item_bytes: int) -> list[slice]:
     return [slice(lo, lo + per) for lo in range(0, n, per)]
 
 
-def _expm_blockwise(gens: list[np.ndarray]) -> list[np.ndarray]:
-    """exp(G) of each parity-conserving anti-Hermitian G, all on the same 2 fock_dim states.
+def _expm_blockwise(gens: list[np.ndarray]) -> np.ndarray:
+    """exp(G) of each parity-conserving anti-Hermitian G on 2 N states, as its blocks, shape (len(gens), 2, N, N).
 
-    Each generator is sliced into its two parity blocks of fock_dim states,
-    and all the blocks go through stacked expm_antiherm calls, each stack
-    capped at _STACK_BYTES.
+    All blocks go in one stacked expm_antiherm call when they fit in _STACK_BYTES,
+    else one generator's two blocks per call (all eight measured slower).
     """
-    if not gens:
-        return []
-    blocks = _parity_blocks(np.arange(gens[0].shape[0]))
-    if any(_couples_blocks(gen, blocks) for gen in gens):
-        raise ValueError("generator couples the two excitation-parity blocks")
-    us = [np.zeros(gen.shape, dtype=complex) for gen in gens]
-    pieces = [(gen, u, np.ix_(blk, blk)) for gen, u in zip(gens, us) for blk in blocks]
-    for c in _chunks(len(pieces), np.dtype(complex).itemsize * blocks[0].size ** 2):
-        exps = expm_antiherm(np.stack([gen[sub] for gen, _, sub in pieces[c]]))
-        for (_, u, sub), block in zip(pieces[c], exps):
-            u[sub] = block
-    return us
+    _, gather, cross = _block_layout(gens[0].shape[0] // 2)
+    blocks = np.empty((len(gens), *gather.shape), dtype=complex)
+    for gen, out in zip(gens, blocks):
+        if np.any(gen.ravel()[cross]):
+            raise ValueError("generator couples the two excitation-parity blocks")
+        out[...] = gen.ravel()[gather]
+    stack = blocks.reshape(-1, *gather.shape[1:])
+    per = len(stack) if stack.nbytes <= _STACK_BYTES else 2
+    for lo in range(0, len(stack), per):
+        stack[lo : lo + per] = expm_antiherm(stack[lo : lo + per])
+    return blocks
 
 
-def _propagators(spec: HilbertSpec, requests: list[tuple[ModelParams, float, str]]) -> list[np.ndarray]:
-    """The propagator of each (params, t, kind) request, kind "exact", "rwa", "magnus1" or "magnus2".
+def _exponentials(spec: HilbertSpec, requests: list[tuple[ModelParams, float, str]]) -> tuple[np.ndarray, list]:
+    """Each (params, t, kind) request's exponential as parity blocks, and the D(t) diagonal that completes it.
 
-    Every exponential goes through one _expm_blockwise call.  The frame
-    kinds are D(t) exp(-i t (H(0) + F)) with H = h_rotated ("exact") or
-    h_rwa ("rwa"), exactly the identity at t = 0 or g = 0.  Omega_1 is
-    built once per (params, t) and shared by both Magnus orders.
+    kind is "exact", "rwa", "magnus1" or "magnus2", all exponentiated in one
+    _expm_blockwise call.  The frame kinds are D(t) exp(-i t (H(0) + F)) with
+    H = h_rotated or h_rwa, the identity at t = 0 or g = 0; D(t) is None
+    there and for the Magnus kinds.  Omega_1 is shared by both Magnus orders.
     """
-    out: list[np.ndarray | None] = [None] * len(requests)
-    gens: list[np.ndarray] = []
-    frames: list[tuple[int, np.ndarray | None]] = []  # (request, D(t) diagonal or None) per generator
+    exps = np.empty((len(requests), 2, spec.fock_dim, spec.fock_dim), dtype=complex)
+    frames: list[np.ndarray | None] = [None] * len(requests)
+    gens, computed = [], []  # the generators to exponentiate and their requests
     omega1: dict[tuple[ModelParams, float], np.ndarray] = {}
     for i, (params, t, kind) in enumerate(requests):
         if t < 0:
             raise ValueError(f"t must be non-negative, got {t}")
         if kind in ("exact", "rwa"):
             if t == 0.0 or params.g == 0.0:
-                out[i] = np.eye(spec.dim, dtype=complex)
+                exps[i] = np.eye(spec.fock_dim)
                 continue
             phases = frame_phases(params, spec)
             h0 = h_rwa(params, spec, 0.0) if kind == "rwa" else h_rotated(params, spec, 0.0)
             gens.append(-1j * t * (h0 + np.diag(phases)))
-            frames.append((i, np.exp(1j * t * phases)))
+            frames[i] = np.exp(1j * t * phases)
         else:
             if (params, t) not in omega1:
                 omega1[params, t] = omega1_closed(params, spec, t).omega1
             gen = omega1[params, t]
             gens.append(gen + omega2_closed(params, spec, t).omega2 if kind == "magnus2" else gen)
-            frames.append((i, None))
-    for (i, frame), u in zip(frames, _expm_blockwise(gens)):
-        out[i] = u if frame is None else frame[:, None] * u
-    return out
+        computed.append(i)
+    if gens:
+        exps[computed] = _expm_blockwise(gens)
+    return exps, frames
+
+
+def _framed(exps: np.ndarray, frames: list[np.ndarray | None]) -> np.ndarray:
+    """The blocks with D(t) applied: row n of block b times D(t) at _block_layout's index[b, n]."""
+    index = _block_layout(exps.shape[2])[0]
+    return np.stack([u if frame is None else frame[index][:, :, None] * u for u, frame in zip(exps, frames)])
+
+
+def _full_matrices(exps: np.ndarray, frames: list[np.ndarray | None]) -> list[np.ndarray]:
+    """The full 2N x 2N propagators: the assembled exponentials with D(t) applied."""
+    full = _assemble(exps, exps.shape[2])
+    return [u if frame is None else frame[:, None] * u for u, frame in zip(full, frames)]
 
 
 def u_exact(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Exact propagator of h_rotated over [0, t]."""
-    return _propagators(spec, [(params, t, "exact")])[0]
+    return _full_matrices(*_exponentials(spec, [(params, t, "exact")]))[0]
 
 
 def u_rwa(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Exact propagator of the RWA Hamiltonian h_rwa over [0, t]."""
-    return _propagators(spec, [(params, t, "rwa")])[0]
+    return _full_matrices(*_exponentials(spec, [(params, t, "rwa")]))[0]
 
 
 def u_magnus(params: ModelParams, spec: HilbertSpec, t: float, order: int) -> np.ndarray:
     """exp(Omega_1) or exp(Omega_1 + Omega_2); a single exponential of the sum."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return _propagators(spec, [(params, t, f"magnus{order}")])[0]
+    return _full_matrices(*_exponentials(spec, [(params, t, f"magnus{order}")]))[0]
 
 
 def _kept_indices(projector: np.ndarray) -> np.ndarray:
@@ -273,46 +321,54 @@ def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
     Each branch is modelled as q(h) = sigma + sigma' h + sigma'' h^2 / 2.  A
     local minimum of max_k q_k is either the Newton point of a convex model
     that is on top there (a smooth minimum) or a crossing of two models that
-    are on top there with slopes of opposite sign (a kink).  None when there
-    is neither.
+    are on top there with slopes of opposite sign (a kink); None when there
+    is neither.  Candidates go Newton points first, then crossings by pair of
+    branches; of equally near ones the first wins.
     """
 
-    def value(m: tuple[float, float, float], h: float) -> float:
-        return m[0] + m[1] * h + 0.5 * m[2] * h * h
+    def top(h: float) -> float:
+        return max([s + d * h + 0.5 * c * h * h for s, d, c in branches])
 
-    def on_top(h: float, *ms: tuple[float, float, float]) -> bool:
-        return max(value(m, h) for m in ms) >= max(value(m, h) for m in branches)
+    def nearer(h: float) -> bool:
+        return math.isfinite(h) and (best is None or abs(h) < abs(best))
 
-    minima = [-d / c for s, d, c in branches if c > 0.0 and on_top(-d / c, (s, d, c))]
-    for m1, m2 in itertools.combinations(branches, 2):
-        (s1, d1, c1), (s2, d2, c2) = m1, m2
+    best = None
+    for s, d, c in branches:
+        if c > 0.0:
+            h = -d / c
+            if nearer(h) and s + d * h + 0.5 * c * h * h >= top(h):
+                best = h
+    for (s1, d1, c1), (s2, d2, c2) in itertools.combinations(branches, 2):
         a, b, c = s1 - s2, d1 - d2, 0.5 * (c1 - c2)
-        roots = []
         if c == 0.0:
-            if b != 0.0:
-                roots.append(-a / b)
+            roots: tuple[float, ...] = (-a / b,) if b != 0.0 else ()
         elif b * b >= 4.0 * a * c:
             q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
-            roots.append(q / c)
-            if q != 0.0:
-                roots.append(a / q)
-        minima += [h for h in roots if (d1 + c1 * h) * (d2 + c2 * h) <= 0.0 and on_top(h, m1, m2)]
-    return min((h for h in minima if math.isfinite(h)), key=abs, default=None)
+            roots = (q / c, a / q) if q != 0.0 else (q / c,)
+        else:
+            roots = ()
+        for h in roots:
+            if (
+                nearer(h)
+                and (d1 + c1 * h) * (d2 + c2 * h) <= 0.0
+                and max(s1 + d1 * h + 0.5 * c1 * h * h, s2 + d2 * h + 0.5 * c2 * h * h) >= top(h)
+            ):
+                best = h
+    return best
 
 
-def _phase_search(phi0: float, norm_b: float):
-    """The phase search of one pair, as a generator driven by phase_aligned_distances.
+def _phase_search(phi0: float, f0: float, norm_b: float):
+    """The phase search of one pair from f0 = f(phi0), as a generator driven by _search.
 
     It yields (full, phases).  With full=False it is sent f(phi) per phase,
     the largest top singular value of the blocks of A - e^{i phi} B; with
     full=True, for its one phase, the top branches (_top_branches) of all
     blocks in one list.  It returns the distance.
     """
-    (f0,) = yield False, [phi0]
     half = 2.0 * math.asin(f0 / norm_b) if f0 < norm_b else math.pi
     k = int(half // _PHASE_STEP)
-    scan = phi0 + _PHASE_STEP * np.arange(-k, k + 1)
-    values = yield False, np.delete(scan, k)
+    scan = [phi0 + _PHASE_STEP * j for j in range(-k, k + 1)]
+    values = yield False, scan[:k] + scan[k + 1 :]
     values.insert(k, f0)
 
     def refine(j: int, best_f: float, lipschitz: float | None = None):
@@ -321,7 +377,7 @@ def _phase_search(phi0: float, norm_b: float):
         Given a Lipschitz constant of f, it stops as soon as the bracket
         cannot hold a value below best_f.
         """
-        phi = float(scan[j])
+        phi = scan[j]
         lo = max(phi - _PHASE_STEP, phi0 - half)
         hi = min(phi + _PHASE_STEP, phi0 + half)
         steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
@@ -350,150 +406,84 @@ def _phase_search(phi0: float, norm_b: float):
             phi += h
         return best_f
 
-    order = np.argsort(values, kind="stable")
-    best_f = yield from refine(int(order[0]), min(values))
+    order = sorted(range(len(values)), key=values.__getitem__)
+    best_f = yield from refine(order[0], min(values))
     if f0 >= norm_b:
         # every phi lies within half a step of a scan point
         for j in order[1:]:
             if values[j] - 0.5 * _PHASE_STEP * norm_b >= best_f:
                 break
-            best_f = yield from refine(int(j), best_f, norm_b)
+            best_f = yield from refine(j, best_f, norm_b)
     return best_f
 
 
-def _stacked_svd(
-    stacks: dict[int, np.ndarray], items: np.ndarray, phis: np.ndarray, full: bool
-) -> np.ndarray | list:
+def _stacked_svd(stacks: dict[int, np.ndarray], items: np.ndarray, phis: np.ndarray, full: bool) -> np.ndarray | list:
     """Top singular value (full=False) or top branches (full=True) of x - e^{i phi} y, per item.
 
-    items has one row (size, x slot, y slot) per item, the slots indexing
-    stacks[size], and phis the item's phase.  Items of one size share
-    stacked LAPACK calls, chunked by _chunks.
+    items has one row (size, x slot, y slot) per item, indexing stacks[size],
+    and phis the item's phase; x slot -1 stands for y alone.  Items of one
+    size share stacked LAPACK calls, chunked by _chunks.
     """
     out = [None] * len(items) if full else np.empty(len(items))
     for size, stack in stacks.items():
-        sel = np.flatnonzero(items[:, 0] == size)
+        sel = np.flatnonzero(items[:, 0] == size) if len(stacks) > 1 else np.arange(len(items))
         z = np.exp(1j * phis[sel])
         for c in _chunks(len(sel), stack[0].nbytes):
-            x, y = stack[items[sel[c], 1]], stack[items[sel[c], 2]]
+            xs, y = items[sel[c], 1], stack[items[sel[c], 2]]
             if full:
-                for i, r in zip(sel[c].tolist(), _top_branches(x, y, z[c])):
+                for i, r in zip(sel[c].tolist(), _top_branches(stack[xs], y, z[c])):
                     out[i] = r
             else:
-                out[sel[c]] = np.linalg.svd(x - z[c, None, None] * y, compute_uv=False)[:, 0]
+                m = stack[xs] - z[c, None, None] * y
+                if xs[-1] < 0:  # ||B|| items sit at the end of the first round
+                    m[xs < 0] = y[xs < 0]
+                out[sel[c]] = np.linalg.svd(m, compute_uv=False)[:, 0]
     return out
 
 
-def phase_aligned_distances(
-    pairs: list[tuple[np.ndarray, np.ndarray]], projector: np.ndarray | None = None
-) -> list[float]:
-    """min over phi of f(phi) = ||P U1 P - e^{i phi} P U2 P|| in spectral norm, per (U1, U2).
+def _search(stacks: dict[int, np.ndarray], geometry: list[np.ndarray], phi0: list[float]) -> list[float]:
+    """The phase-aligned distance of each pair: its _phase_search, all run in lockstep.
 
-    P is a diagonal 0/1 projector (project_buffer); the norm is taken on the
-    kept indices directly.  Each distinct matrix is sliced to them and split
-    into its parity blocks once.  When neither matrix of a pair couples the
-    two blocks, f is the larger of the two block norms; a pair that couples
-    them is searched as one block.
-
-    The search starts at phi0 = arg tr(B^dag A) with A, B the projected
-    arguments.  By the triangle inequality
-    f(phi) >= |e^{i phi} - e^{i phi0}| ||B|| - f(phi0), so no phase farther
-    than 2 arcsin(f(phi0) / ||B||) from phi0 beats f(phi0).  Only that arc
-    is scanned, at spacing 2 pi / 96, by singular values alone.
-
-    The refinement around the best scan point takes one full SVD per block
-    per iterate, which gives each block's two largest singular values with
-    their exact first and second derivatives in phi (_top_branches).  The
-    step goes to the nearest local minimum of the largest of these
-    branches' quadratic models (_model_step): a Newton step at a smooth
-    minimum, the intersection of two branches at a kink, where the top
-    singular values cross.  A bracket, narrowed by the sign of the active
-    slope, guards every step: a step that would leave it, or that is longer
-    than half the step before last, is replaced by bisection.  The
-    iteration stops when the step is a few ulps of phi.  Every evaluation is
-    an upper bound on the minimum, so the smallest one is returned.  The
-    distance is insensitive to a global phase of either argument.
-
-    When f(phi0) >= ||B|| the whole circle is scanned, and f may have
-    several local minima there.  f is ||B||-Lipschitz in phi, so the
-    refinement is then repeated around every other scan point p with
-    f(p) - ||B|| pi / 96 below the best value found, each run stopping once
-    its bracket cannot hold a lower value.
-
-    All pairs are searched in lockstep (_phase_search): ||B||, f(phi0), the
-    scan, and each round of refinement are stacked LAPACK calls over every
-    pair and block, each stack capped at
-    _STACK_BYTES, so large blocks fall back to one matrix per call.  A
-    pair's result does not depend on the other pairs: the stacked calls
-    are bit-identical per matrix to single ones.
+    geometry[p] has one row (size, x slot, y slot) per block of pair p,
+    indexing stacks[size]; phi0[p] is its starting phase.  The first round
+    takes f(phi0) and ||B|| (the largest top singular value of the y blocks)
+    of every pair in one values-only call, each later round one call per
+    kind of request and block size.
     """
-    pairs = list(pairs)
-    kept = None if projector is None else _kept_indices(projector)
-    sliced: dict[int, tuple[np.ndarray, list[np.ndarray], bool]] = {}
-    for u in {id(u): u for pair in pairs for u in pair}.values():
-        m = np.asarray(u, dtype=complex)
-        index = np.arange(m.shape[0]) if kept is None else kept
-        if kept is not None:
-            m = m[np.ix_(index, index)]
-        blocks = _parity_blocks(index)
-        sliced[id(u)] = (m, blocks, _couples_blocks(m, blocks))
-    phi0 = [float(np.angle(np.vdot(sliced[id(b)][0], sliced[id(a)][0]))) for a, b in pairs]
-
-    # every block the pairs compare, stacked by size: geometry[p] has one
-    # row (size, x slot, y slot) per block of pair p
-    members: dict[int, list[np.ndarray]] = {}
-    slots: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def slot(u: np.ndarray, part: int) -> tuple[int, int]:
-        """(size, position) of block `part` of u, or of all of u for part -1."""
-        if (id(u), part) not in slots:
-            m, blocks, _ = sliced[id(u)]
-            block = m if part < 0 else m[np.ix_(blocks[part], blocks[part])]
-            group = members.setdefault(block.shape[0], [])
-            slots[id(u), part] = (block.shape[0], len(group))
-            group.append(block)
-        return slots[id(u), part]
-
-    geometry = []
-    for a, b in pairs:
-        whole = sliced[id(a)][2] or sliced[id(b)][2]
-        parts = [-1] if whole else range(len(sliced[id(a)][1]))
-        geometry.append(np.array([(*slot(a, w), slot(b, w)[1]) for w in parts]))
-    del sliced
-    stacks = {size: np.stack(group) for size, group in members.items()}
-    del members
-
-    norms = {}
-    for size, stack in stacks.items():
-        ys = sorted({yi for geo in geometry for s, _, yi in geo.tolist() if s == size})
-        for c in _chunks(len(ys), stack[0].nbytes):
-            tops = np.linalg.svd(stack[ys[c]], compute_uv=False)[:, 0]
-            norms.update(((size, yi), top) for yi, top in zip(ys[c], tops.tolist()))
+    if not geometry:
+        return []
+    nbs = [len(geo) for geo in geometry]
+    items = np.concatenate(geometry)
+    lone = sorted({(size, y) for size, y in items[:, [0, 2]].tolist()})
+    values = _stacked_svd(
+        stacks,
+        np.concatenate([items, [(size, -1, y) for size, y in lone]]),
+        np.concatenate([np.repeat(phi0, nbs), np.zeros(len(lone))]),
+        False,
+    )
+    f0 = np.maximum.reduceat(values[: len(items)], np.cumsum([0] + nbs[:-1])).tolist()
+    norms = dict(zip(lone, values[len(items) :].tolist()))
     searches = [
-        _phase_search(phi, max(norms[size, yi] for size, _, yi in geo.tolist()))
-        for geo, phi in zip(geometry, phi0)
+        _phase_search(phi, f, max(norms[size, y] for size, _, y in geo.tolist()))
+        for geo, phi, f in zip(geometry, phi0, f0)
     ]
-    distances: list[float] = [0.0] * len(pairs)
+    distances: list[float] = [0.0] * len(geometry)
     pending = {p: next(search) for p, search in enumerate(searches)}
     while pending:
-        # each round's items as columns: one row of `items` and one phase
-        # per (pair, phase, block)
         replies: dict[int, list] = {}
         for full in (False, True):
-            asks = [(p, np.asarray(phases, float)) for p, (kind, phases) in pending.items() if kind == full]
-            if not asks:
-                continue
-            items = np.concatenate([np.tile(geometry[p], (len(phases), 1)) for p, phases in asks])
-            phis = np.concatenate([np.repeat(phases, len(geometry[p])) for p, phases in asks])
-            results = _stacked_svd(stacks, items, phis, full)
+            asks = [(p, phases) for p, (kind, phases) in pending.items() if kind == full]
+            per_phase = [(p, phi) for p, phases in asks for phi in phases]
+            geo = [geometry[p] for p, _ in per_phase]
+            phis = np.repeat([phi for _, phi in per_phase], [nbs[p] for p, _ in per_phase])
+            results = _stacked_svd(stacks, np.concatenate(geo), phis, full) if geo else []
             start = 0
             for p, phases in asks:
-                stop = start + len(phases) * len(geometry[p])
+                stop = start + len(phases) * nbs[p]
                 if full:
                     replies[p] = [br for res in results[start:stop] for br in res]
                 else:
-                    per_block = results[start:stop].reshape(len(phases), len(geometry[p]))
-                    replies[p] = per_block.max(axis=1).tolist()
+                    replies[p] = np.reshape(results[start:stop], (len(phases), nbs[p])).max(axis=1).tolist()
                 start = stop
         for p in list(pending):
             try:
@@ -502,6 +492,84 @@ def phase_aligned_distances(
                 distances[p] = stop.value
                 del pending[p]
     return distances
+
+
+def block_distances(blocks: np.ndarray, pairs: list[tuple[int, int]], buffer: int = DEFAULT_BUFFER) -> list[float]:
+    """phase_aligned_distances of (blocks[i], blocks[j]) per index pair, with project_buffer(spec, buffer).
+
+    blocks stacks propagators as parity blocks, shape (n, 2, N, N), as in
+    PropagatorBundle.blocks; the window is the leading (N - buffer) corner of
+    each block, searched as it is.  arg tr(B^dag A) is summed over the window
+    in the full layout, as phase_aligned_distances sums it, so the distances
+    are those of the assembled matrices bit for bit.
+    """
+    n, _, fock_dim, _ = blocks.shape
+    _check_buffer(fock_dim, buffer)
+    keep = fock_dim - buffer
+    window = _assemble(blocks, keep).reshape(n, -1)
+    phi0 = [float(np.angle(np.vdot(window[j], window[i]))) for i, j in pairs]
+    corners = {keep: blocks[:, :, :keep, :keep].reshape(2 * n, keep, keep)}
+    geometry = [np.array([(keep, 2 * i, 2 * j), (keep, 2 * i + 1, 2 * j + 1)]) for i, j in pairs]
+    return _search(corners, geometry, phi0)
+
+
+def phase_aligned_distances(
+    pairs: list[tuple[np.ndarray, np.ndarray]], projector: np.ndarray | None = None
+) -> list[float]:
+    """min over phi of f(phi) = ||P U1 P - e^{i phi} P U2 P|| in spectral norm, per (U1, U2).
+
+    P is a diagonal 0/1 projector (project_buffer); the norm is taken on the
+    kept indices directly.  When neither matrix of a pair couples the two
+    parity blocks, f is the larger of the two block norms; a pair that
+    couples them is searched as one block.
+
+    The search starts at phi0 = arg tr(B^dag A) with A, B the projected
+    arguments.  As f(phi) >= |e^{i phi} - e^{i phi0}| ||B|| - f(phi0), no
+    phase farther than 2 arcsin(f(phi0) / ||B||) from phi0 beats f(phi0), so
+    only that arc is scanned, at spacing 2 pi / 96, by singular values alone.
+
+    The refinement around the best scan point takes one full SVD per block
+    per iterate, which gives each block's two largest singular values with
+    their exact first and second derivatives in phi (_top_branches).  The
+    step goes to the nearest local minimum of the largest of these
+    branches' quadratic models (_model_step): a Newton step at a smooth
+    minimum, the intersection of two branches at a kink (Lewis & Overton,
+    Acta Numerica 5 (1996) 149).  A bracket, narrowed by the sign of the
+    active slope, guards every step: a step that would leave it, or that is
+    longer than half the step before last, is replaced by bisection.  It
+    stops when the step is a few ulps of phi, and the smallest value seen
+    is returned, so distances are exact to rounding.
+
+    When f(phi0) >= ||B|| the whole circle is scanned, and f may have
+    several local minima there.  f is ||B||-Lipschitz in phi, so the
+    refinement is then repeated around every other scan point p with
+    f(p) - ||B|| pi / 96 below the best value found, each run stopping once
+    its bracket cannot hold a lower value.
+
+    All pairs are searched in lockstep (_search), each stage one stacked
+    LAPACK call over every pair and block (capped at _STACK_BYTES); numpy's
+    stacked calls are bit-identical per matrix to single ones, so a pair's
+    result does not depend on the other pairs.
+    """
+    kept = None if projector is None else _kept_indices(projector)
+    members: dict[int, list[np.ndarray]] = {}  # the blocks compared, by size
+    geometry, phi0 = [], []
+    for pair in pairs:
+        index = np.arange(np.shape(pair[0])[0]) if kept is None else kept
+        ms = [np.asarray(u, dtype=complex)[np.ix_(index, index)] for u in pair]
+        phi0.append(float(np.angle(np.vdot(ms[1], ms[0]))))
+        blocks = _parity_blocks(index)
+        if any(_couples_blocks(m, blocks) for m in ms):
+            parts = [ms]
+        else:
+            parts = [[m[np.ix_(blk, blk)] for m in ms] for blk in blocks]
+        rows = []
+        for x, y in parts:
+            group = members.setdefault(len(x), [])
+            rows.append((len(x), len(group), len(group) + 1))
+            group += [x, y]
+        geometry.append(np.array(rows))
+    return _search({size: np.stack(group) for size, group in members.items()}, geometry, phi0)
 
 
 def phase_aligned_distance(
@@ -517,9 +585,8 @@ def phase_aligned_distance(
 
 def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> PropagatorBundle:
     """The four propagators at one parameter point, from one stacked exponential."""
-    kinds = ("exact", "rwa", "magnus1", "magnus2")
-    ue, ur, m1, m2 = _propagators(spec, [(params, t, kind) for kind in kinds])
-    return PropagatorBundle(u_exact=ue, u_rwa=ur, u_magnus1=m1, u_magnus2=m2, params=params, t=t)
+    exps, frames = _exponentials(spec, [(params, t, kind) for kind in _KINDS])
+    return PropagatorBundle(_framed(exps, frames), params, t, (exps, frames))
 
 
 def error_report(
@@ -533,9 +600,7 @@ def error_report(
     Distances are computed on the buffered subspace (Fock 0 .. N-1-buffer).
     The table also carries the convergence margin g t / pi.
     """
-    proj = project_buffer(spec, buffer)
     bundle = propagator_bundle(params, spec, t)
-    pairs = [(getattr(bundle, a), getattr(bundle, b)) for a, b in _DISTANCE_PAIRS.values()]
-    table = dict(zip(_DISTANCE_PAIRS, phase_aligned_distances(pairs, proj)))
+    table = dict(zip(_DISTANCE_PAIRS, block_distances(bundle.blocks, list(_DISTANCE_PAIRS.values()), buffer)))
     table["convergence_margin"] = convergence_margin(params, t)
     return bundle, table

@@ -1,9 +1,64 @@
 """Independent reference implementations that the tests compare the library against."""
 
+import math
+
 import numpy as np
 
-from jcmagnus.jc_model import h_rotated_stack, h_rwa_stack
+from jcmagnus.hilbert import ATOM_EXCITED, ATOM_GROUND
+from jcmagnus.jc_model import _interaction_blocks
 from jcmagnus.magnus import IntegralSet, simpson_weights
+
+
+def _hamiltonian_stack(params, spec, ts, rwa: bool) -> np.ndarray:
+    """h_rotated (rwa=False) or h_rwa (rwa=True) at each time of ts, shape (len(ts), dim, dim)."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
+    g = params.g
+    ed = np.exp(1j * params.delta * ts)[:, None, None]
+    out = g * (1j * ed * ad_sm - 1j * ed.conj() * a_sp)
+    if not rwa:
+        es = np.exp(1j * params.sigma * ts)[:, None, None]
+        out += g * (1j * es * ad_sp - 1j * es.conj() * a_sm)
+    return out
+
+
+def h_rotated_stack(params, spec, ts) -> np.ndarray:
+    """h_rotated evaluated on a vector of times, shape (len(ts), dim, dim)."""
+    return _hamiltonian_stack(params, spec, ts, rwa=False)
+
+
+def h_rwa_stack(params, spec, ts) -> np.ndarray:
+    """h_rwa evaluated on a vector of times."""
+    return _hamiltonian_stack(params, spec, ts, rwa=True)
+
+
+def rwa_doublet_propagator(params, spec, t: float) -> np.ndarray:
+    """u_rwa in closed form, doublet by doublet (Jaynes & Cummings, Proc. IEEE 51 (1963) 89).
+
+    h_rwa(0) + F conserves the excitation number, so it splits into the
+    doublets {|n,e>, |n+1,g>}, n = 0 .. N-2, and the singletons |0,g> and
+    |N-1,e>.  On a doublet it is omega (n + 1/2) + M with
+    M = [[-delta/2, -i c], [i c, delta/2]], c = g sqrt(n+1), and M^2 = Omega^2
+    with the generalized Rabi frequency Omega = sqrt((delta/2)^2 + c^2).  So
+    D(t) exp(-i t (h_rwa(0) + F)) is
+    diag(e^{-i delta t/2}, e^{i delta t/2}) (cos(Omega t) - i sin(Omega t)/Omega M)
+    there, and exactly 1 on both singletons.
+    """
+    u = np.zeros((spec.dim, spec.dim), dtype=complex)
+    last = spec.fock_dim - 1
+    for idx in (spec.index(0, ATOM_GROUND), spec.index(last, ATOM_EXCITED)):
+        u[idx, idx] = 1.0
+    d = params.delta
+    edge = np.diag([np.exp(-0.5j * d * t), np.exp(0.5j * d * t)])
+    for n in range(last):
+        c = params.g * math.sqrt(n + 1)
+        rabi = math.hypot(0.5 * d, c)
+        m = np.array([[-0.5 * d, -1j * c], [1j * c, 0.5 * d]])
+        # sin(rabi t) / rabi, also at rabi = 0
+        sin_over = t * np.sinc(rabi * t / math.pi)
+        idx = [spec.index(n, ATOM_EXCITED), spec.index(n + 1, ATOM_GROUND)]
+        u[np.ix_(idx, idx)] = edge @ (math.cos(rabi * t) * np.eye(2) - 1j * sin_over * m)
+    return u
 
 
 def midpoint_product(params, spec, t: float, steps: int, rwa: bool) -> np.ndarray:

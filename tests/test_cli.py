@@ -12,7 +12,7 @@ from jcmagnus.cli import SWEEP_FIELDS, RunConfig, load_config_file, main
 from jcmagnus.hilbert import HilbertSpec
 from jcmagnus.jc_model import ModelParams
 from jcmagnus.observables import bs_phase_probe, squeezing_report
-from jcmagnus.propagator import error_report, u_exact, u_magnus, u_rwa
+from jcmagnus.propagator import error_report, phase_aligned_distances, project_buffer, propagator_bundle
 
 FAST = ["--fock-dim", "8", "--quad-steps", "256"]
 
@@ -319,6 +319,15 @@ def test_verify_antihermiticity_fails_on_parity_coupling(monkeypatch, capsys):
     assert "ANTIHERMITICITY FAIL inf" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("t", ["1e-6", "1e-4", "1e-3"])
+def test_verify_resonance_limit_small_t(t, capsys):
+    # the resonance limit is evaluated without cancellation at small omega t;
+    # other checks still fail at such t, so only this line is checked
+    main(["verify", "--t", t])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("RESONANCE_LIMIT ")] == ["PASS"]
+
+
 def test_verify_large_quad_steps():
     # the chirp-z inner sums keep a 16384-panel verify cheap, and it passes
     assert main(["verify", "--quad-steps", "16384"]) == 0
@@ -335,29 +344,73 @@ def test_row_bs_probe_matches_public_probe():
 
 
 def test_row_and_report_compute_only_printed_distances(monkeypatch, capsys):
-    # a row computes the three errors against u_exact in one call; the
-    # report adds the three propagator-vs-propagator distances to that call
+    # a row computes the three errors against u_exact in one call on the
+    # bundle's parity blocks; the report adds the three
+    # propagator-vs-propagator distances to that call
     calls = []
 
-    def record(pairs, projector=None):
-        calls.append(list(pairs))
-        return real_distances(pairs, projector)
+    def record(blocks, pairs, buffer):
+        calls.append((blocks, list(pairs)))
+        return real_distances(blocks, pairs, buffer)
 
-    real_distances = cli.phase_aligned_distances
-    monkeypatch.setattr(cli, "phase_aligned_distances", record)
+    real_distances = cli.block_distances
+    monkeypatch.setattr(cli, "block_distances", record)
     cfg = RunConfig(fock_dim=8)
     params, spec = ModelParams(cfg.omega, cfg.omega0, cfg.g), HilbertSpec(8)
     cli.compute_row(cfg, cfg.omega0, cfg.g, cfg.t)
-    (pairs,) = calls
-    ue = u_exact(params, spec, cfg.t)
-    want = [u_rwa(params, spec, cfg.t), u_magnus(params, spec, cfg.t, 1), u_magnus(params, spec, cfg.t, 2)]
-    assert len(pairs) == 3
-    for (u1, u2), w in zip(pairs, want):
-        assert np.array_equal(u1, ue) and np.array_equal(u2, w)
+    ((blocks, pairs),) = calls
+    assert pairs == [(0, 1), (0, 2), (0, 3)]
+    assert np.array_equal(blocks, propagator_bundle(params, spec, cfg.t).blocks)
     calls.clear()
     assert cli.cmd_report(cfg) == 0
     capsys.readouterr()
-    assert [len(pairs) for pairs in calls] == [6]
+    assert [len(pairs) for _, pairs in calls] == [6]
+
+
+def test_row_lapack_calls(monkeypatch):
+    # at the default point a row takes one stacked eigh for its four
+    # exponentials and at most 8 SVD calls for its three distances
+    calls = {"eigh": 0, "svd": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
+    assert calls["eigh"] == 1
+    assert 0 < calls["svd"] <= 8
+
+
+def test_row_and_report_share_the_full_matrix_distances(capsys):
+    # compute_row's three errors and cmd_report's six distances equal, bit
+    # for bit, phase_aligned_distances on the bundle's full matrices with
+    # project_buffer: one search core serves both entries
+    pairs = {
+        "err_rwa": ("u_exact", "u_rwa"),
+        "err_magnus1": ("u_exact", "u_magnus1"),
+        "err_magnus2": ("u_exact", "u_magnus2"),
+        "rwa_vs_magnus1": ("u_rwa", "u_magnus1"),
+        "rwa_vs_magnus2": ("u_rwa", "u_magnus2"),
+        "magnus1_vs_magnus2": ("u_magnus1", "u_magnus2"),
+    }
+    for fock, omega0, g, t in ((12, 0.8, 0.05, 1.0), (12, 1.0, 0.02, 4.0), (24, 1.1, 0.05, 2.0)):
+        cfg = RunConfig(omega0=omega0, g=g, t=t, fock_dim=fock)
+        spec = HilbertSpec(fock)
+        bundle = propagator_bundle(ModelParams(cfg.omega, omega0, g), spec, t)
+        full = phase_aligned_distances(
+            [(getattr(bundle, a), getattr(bundle, b)) for a, b in pairs.values()],
+            project_buffer(spec, cfg.buffer),
+        )
+        want = dict(zip(pairs, full))
+        row = cli.compute_row(cfg, omega0, g, t)
+        assert [getattr(row, name) for name in list(pairs)[:3]] == full[:3]
+        capsys.readouterr()
+        assert cli.cmd_report(cfg) == 0
+        lines = dict(ln.split(" = ", 1) for ln in capsys.readouterr().out.splitlines() if " = " in ln)
+        assert {name: lines[name] for name in pairs} == {name: cli._fmt(v) for name, v in want.items()}
 
 
 @pytest.mark.parametrize("fock", [8, 12])

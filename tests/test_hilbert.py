@@ -5,11 +5,8 @@ from jcmagnus.hilbert import (
     HilbertSpec,
     adjoint,
     annihilation,
-    commutator,
     creation,
     expm_antiherm,
-    frobenius_norm,
-    herm_eig,
     number,
     pauli,
     spectral_norm,
@@ -17,7 +14,7 @@ from jcmagnus.hilbert import (
 )
 from jcmagnus.hilbert import _hermitian_norm
 
-from conftest import random_antihermitian, random_unitary
+from conftest import commutator, random_antihermitian, random_unitary
 
 
 def test_spec_validation():
@@ -136,7 +133,6 @@ def test_product_commutator_expansion(rng):
 def test_norms():
     m = np.array([[3.0, 0.0], [0.0, -4.0]], dtype=complex)
     assert spectral_norm(m) == 4.0
-    assert frobenius_norm(m) == 5.0
 
 
 def test_expm_antiherm_trivial_cases():
@@ -186,28 +182,3 @@ def test_hermitian_norm_matches_spectral_norm(rng):
     with pytest.raises(ValueError, match="not anti-Hermitian"):
         expm_antiherm(g + 1e-6 * np.eye(12))
 
-
-def test_herm_eig_trivial():
-    lam, _ = herm_eig(np.eye(5, dtype=complex))
-    assert np.allclose(lam, np.ones(5))
-    sx = pauli("plus") + pauli("minus")
-    lam, _ = herm_eig(sx)
-    assert np.allclose(lam, [-1.0, 1.0])
-    lam, _ = herm_eig(number(HilbertSpec(4)))
-    assert np.allclose(lam, [0.0, 1.0, 2.0, 3.0])
-
-
-def test_herm_eig_residual(rng):
-    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    h = 0.5 * (m + m.conj().T)
-    lam, q = herm_eig(h)
-    resid = spectral_norm(h @ q - q @ np.diag(lam))
-    assert resid <= 1e-11 * spectral_norm(h)
-    assert np.all(np.diff(lam) >= 0)
-    assert spectral_norm(adjoint(q) @ q - np.eye(12)) <= 1e-12
-
-
-def test_herm_eig_rejects_nonhermitian(rng):
-    g = random_antihermitian(rng, 5)
-    with pytest.raises(ValueError, match="Hermitian"):
-        herm_eig(g)

@@ -9,12 +9,11 @@ from jcmagnus.jc_model import (
     frame_phases,
     h_full,
     h_rotated,
-    h_rotated_stack,
     h_rwa,
-    h_rwa_stack,
     rotation_chain_residual,
     verify_bch,
 )
+from oracles import h_rotated_stack, h_rwa_stack
 
 
 def test_params_validation():

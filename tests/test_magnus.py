@@ -214,6 +214,20 @@ def test_zeta_relative_accuracy(t):
             assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want), delta
 
 
+def test_zeta_resonance_limit_small_t():
+    # against 50-digit arithmetic of the limit's defining form, from
+    # omega t = 1e-6, where its two O(t) terms cancel, up to 2
+    mpmath = pytest.importorskip("mpmath")
+    p = ModelParams(1.0, 1.0, 0.05)
+    with mpmath.workdps(50):
+        for t in np.geomspace(1e-6, 2.0, 61):
+            tm = mpmath.mpf(float(t))
+            e2 = mpmath.expj(2 * tm)
+            want = (1 - e2) / 2 + 1j * tm * (1 + e2) / 2
+            got = zeta_resonance_limit(p, float(t))
+            assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want), t
+
+
 def test_zeta_resonance_continuity():
     # closed form approaches the limit as omega0 -> omega, from both sides
     limit = zeta_resonance_limit(ModelParams(1.0, 1.0, 0.05), 1.0)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from jcmagnus.hilbert import HilbertSpec, annihilation, commutator, creation, spectral_norm, tensor
+from jcmagnus.hilbert import HilbertSpec, annihilation, creation, spectral_norm, tensor
 from jcmagnus.jc_model import ModelParams, frame_phases, h_rwa
 from jcmagnus.propagator import (
     _expm_blockwise,
     _parity_block_norms,
     _parity_blocks,
+    block_distances,
     error_report,
     phase_aligned_distance,
     phase_aligned_distances,
@@ -17,12 +18,13 @@ from jcmagnus.propagator import (
     u_rwa,
     unitarity_defect,
 )
-from conftest import random_antihermitian, random_unitary
+from conftest import commutator, random_antihermitian, random_unitary
 from oracles import (
     eigenphase_arc_distance,
     midpoint_extrapolated,
     midpoint_product,
     phase_scan_distance,
+    rwa_doublet_propagator,
 )
 
 PARAMS = ModelParams(1.0, 0.8, 0.05)
@@ -135,6 +137,22 @@ def test_propagators_match_midpoint_oracle(fock, w0, g, t, rwa):
     p = ModelParams(1.0, w0, g)
     u = u_rwa(p, spec, t) if rwa else u_exact(p, spec, t)
     assert spectral_norm(u - midpoint_extrapolated(p, spec, t, 256, rwa)) <= 1e-9
+
+
+@pytest.mark.parametrize("fock", [12, 24, 48])
+def test_u_rwa_matches_doublet_closed_form(fock):
+    # against the Rabi solution of each excitation doublet, detuned and
+    # resonant, up to the README's t = 20.  The eigendecomposition's rounding
+    # grows with ||t (h_rwa(0) + F)|| ~ t omega fock, which passes 1e-13 only
+    # at fock 48 and t = 20 (1.6e-13 there), so the bound is the larger of
+    # the two.
+    spec = HilbertSpec(fock)
+    for w0, g in ((0.8, 0.05), (0.9, 0.02), (1.0, 0.05), (1.0, 0.02), (1.1, 0.02)):
+        p = ModelParams(1.0, w0, g)
+        for t in (0.5, 1.0, 4.0, 20.0):
+            floor = np.finfo(float).eps * spectral_norm(t * (h_rwa(p, spec, 0.0) + np.diag(frame_phases(p, spec))))
+            err = spectral_norm(u_rwa(p, spec, t) - rwa_doublet_propagator(p, spec, t))
+            assert err <= max(1e-13, floor), (w0, g, t, err)
 
 
 def test_u_rwa_constant_hamiltonian_on_resonance():
@@ -325,8 +343,8 @@ def test_phase_aligned_distances_batch_independent():
 
 
 def test_error_report_stacks_svd_calls(monkeypatch):
-    # the six distances of a row share stacked LAPACK calls: starting values,
-    # scan, and one call per refinement round (116 single calls before)
+    # the six distances of a row share stacked LAPACK calls: f(phi0) with
+    # ||B||, scan, and one call per refinement round
     calls = []
     real_svd = np.linalg.svd
 
@@ -336,7 +354,21 @@ def test_error_report_stacks_svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     error_report(PARAMS, HilbertSpec(12), 1.0)
-    assert 0 < len(calls) <= 16
+    assert 0 < len(calls) <= 9
+
+
+def test_block_distances_match_full_matrices():
+    # the corners of the parity blocks give, bit for bit, the distances of
+    # the assembled matrices with project_buffer, across buffers and sizes
+    for fock, buffer in ((8, 0), (12, 2), (12, 5), (24, 2)):
+        spec = HilbertSpec(fock)
+        bundle = propagator_bundle(ModelParams(1.0, 0.9, 0.05), spec, 2.0)
+        full = [bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2]
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        want = phase_aligned_distances([(full[i], full[j]) for i, j in pairs], project_buffer(spec, buffer))
+        assert block_distances(bundle.blocks, pairs, buffer) == want
+    with pytest.raises(ValueError, match="buffer"):
+        block_distances(bundle.blocks, pairs, 23)
 
 
 def test_parity_block_norms(rng):
