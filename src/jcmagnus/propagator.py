@@ -28,9 +28,10 @@ PropagatorBundle fields.
 Errors are phase-aligned spectral-norm distances on the buffered window
 (phase_aligned_distances), because ladder truncation corrupts the top levels
 and two propagators may differ by a global phase.  One search (_search) runs
-the distances of many pairs in lockstep, one stacked LAPACK call per stage;
-block_distances feeds it the block corners, phase_aligned_distances slices
-arbitrary full matrices into the same form.
+the distances of many pairs in lockstep, one stacked full-SVD call per round,
+whose singular pairs bound the distance from below at every phase and so
+rule phases out in closed form; block_distances feeds it the block corners,
+phase_aligned_distances slices arbitrary full matrices into the same form.
 """
 
 from __future__ import annotations
@@ -65,9 +66,7 @@ __all__ = [
 # second-order objects by up to two, so two guard levels quarantine the
 # truncation edge.
 DEFAULT_BUFFER = 2
-# Coarse-scan spacing of the phase search, and the step, in ulps of phi, at
-# which its refinement stops.
-_PHASE_STEP = 2.0 * math.pi / 96
+# The step, in ulps of phi, at which the phase search's refinement stops.
 _ULPS = 4
 # Cap on each stacked operand of the distances' LAPACK calls: small blocks
 # stack fully, blocks above it go one per call.
@@ -171,12 +170,6 @@ def _couples_blocks(m: np.ndarray, blocks: list[np.ndarray]) -> bool:
     return len(blocks) > 1 and bool(
         np.any(m[np.ix_(blocks[0], blocks[1])]) or np.any(m[np.ix_(blocks[1], blocks[0])])
     )
-
-
-def _chunks(n: int, item_bytes: int) -> list[slice]:
-    """Slices of n stacked items, each stack at most _STACK_BYTES (one item at least)."""
-    per = max(1, _STACK_BYTES // item_bytes)
-    return [slice(lo, lo + per) for lo in range(0, n, per)]
 
 
 def _expm_blockwise(gens: list[np.ndarray]) -> np.ndarray:
@@ -284,12 +277,13 @@ def _parity_block_norms(mats: list[np.ndarray], projector: np.ndarray | None = N
     return [math.inf if c else float(top) for c, top in zip(couples, tops.max(axis=1))]
 
 
-def _top_branches(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[list[tuple[float, float, float]]]:
-    """(sigma_k, sigma_k', sigma_k'') of the two largest singular values of each x_i - z_i y_i.
+def _branches_and_minorants(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
+    """Top branches and minorants of each x_i - z_i y_i, from one full SVD each.
 
-    x and y are stacks of square matrices and z a vector of unit phases.
-    Derivatives are in phi with z = e^{i phi}: M' = -i z y and M'' = i M'.
-    With K = U^dag M' V from one full SVD,
+    x and y are stacks of square matrices and z a vector of unit phases.  The
+    branches are (sigma_k, sigma_k', sigma_k'') of the two largest singular
+    values, in phi with z = e^{i phi}: M' = -i z y and M'' = i M'.  With
+    K = U^dag M' V,
 
         sigma_k'  = Re K_kk,
         sigma_k'' = Re(i K_kk) + sum_{j != k} |K_jk + conj(K_kj)|^2 / (2 (sigma_k - sigma_j))
@@ -299,12 +293,21 @@ def _top_branches(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[list[tupl
     dilation [[0, M], [M^dag, 0]].  Terms with a zero denominator (exact ties
     and pairs of zero singular values) are dropped: their numerators vanish
     along the analytic branches.
+
+    Each singular pair k bounds the norm at every phase (Horn & Johnson,
+    Matrix Analysis, 2013): sigma_max(x - e^{i phi} y) >= |a_k - e^{i phi} b_k|
+    with b_k = (U^dag y V)_kk and a_k = sigma_k + z b_k.  The minorants, shape
+    (len(x), 3, n), are (|a_k| - |b_k|, 2 sqrt(|a_k| |b_k|), arg(a_k / b_k)) =
+    (d_k, r_k, theta_k): hypot(d_k, r_k sin((phi - theta_k) / 2)) does not cancel.
     """
     u, s, vh = np.linalg.svd(x - z[:, None, None] * y)
-    dm = (-1j * z)[:, None, None] * y
+    uh, w = adjoint(u), y @ adjoint(vh)
+    b = np.einsum("kji,kij->kj", uh, w)
+    a = s + z[:, None] * b
     top = min(2, s.shape[-1])
-    col = adjoint(u) @ (dm @ adjoint(vh[:, :top]))  # K_jk for the top k
-    row = adjoint((adjoint(u[:, :, :top]) @ dm) @ adjoint(vh))  # conj(K_kj)
+    dz = (-1j * z)[:, None, None]
+    col = dz * (uh @ w[:, :, :top])  # K_jk for the top k
+    row = adjoint(dz * (uh[:, :top] @ w))  # conj(K_kj)
     kk = np.diagonal(col, axis1=1, axis2=2)
     curv = -kk.imag
     for num, den in (
@@ -312,7 +315,9 @@ def _top_branches(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[list[tupl
         (np.abs(col - row) ** 2, s[:, None, :top] + s[:, :, None]),
     ):
         curv = curv + np.sum(np.divide(num, 2.0 * den, out=np.zeros(num.shape), where=den != 0), axis=1)
-    return [list(zip(*cols)) for cols in zip(s[:, :top].tolist(), kk.real.tolist(), curv.tolist())]
+    branches = [list(zip(*cols)) for cols in zip(s[:, :top].tolist(), kk.real.tolist(), curv.tolist())]
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    return branches, np.stack([abs_a - abs_b, 2.0 * np.sqrt(abs_a * abs_b), np.angle(a * b.conj())], axis=1)
 
 
 def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
@@ -357,38 +362,58 @@ def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
     return best
 
 
-def _phase_search(phi0: float, f0: float, norm_b: float):
-    """The phase search of one pair from f0 = f(phi0), as a generator driven by _search.
+def _below(minorants: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, w): minorant k is below level exactly on |phi - theta_k| < w_k (w_k = pi: everywhere)."""
+    d, r, theta = minorants
+    room = (level - np.abs(d)) * (level + np.abs(d))  # (r sin(w / 2))^2
+    return theta, 2.0 * np.arctan2(np.sqrt(np.maximum(room, 0.0)), np.sqrt(np.maximum(r * r - room, 0.0)))
 
-    It yields (full, phases).  With full=False it is sent f(phi) per phase,
-    the largest top singular value of the blocks of A - e^{i phi} B; with
-    full=True, for its one phase, the top branches (_top_branches) of all
-    blocks in one list.  It returns the distance.
+
+def _open_arcs(minorants: np.ndarray, level: float, closed: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The arcs (lo, hi) on which every minorant is below level, outside the closed arcs (lo, hi).
+
+    The excluded arcs are laid out from the centre of the widest, so only its
+    copy one turn on wraps: the others' overhang falls inside the widest.
     """
-    half = 2.0 * math.asin(f0 / norm_b) if f0 < norm_b else math.pi
-    k = int(half // _PHASE_STEP)
-    scan = [phi0 + _PHASE_STEP * j for j in range(-k, k + 1)]
-    values = yield False, scan[:k] + scan[k + 1 :]
-    values.insert(k, f0)
+    theta, w = _below(minorants, level)
+    lo, hi = np.array(closed).T
+    centers = np.concatenate([theta[w < math.pi] + math.pi, 0.5 * (lo + hi)])
+    halves = np.concatenate([math.pi - w[w < math.pi], 0.5 * (hi - lo)])
+    origin, widest = centers[np.argmax(halves)], halves.max()
+    x, halves = np.append(np.mod(centers - origin, 2.0 * math.pi), 2.0 * math.pi), np.append(halves, widest)
+    order = np.argsort(x - halves)
+    lo, hi = (x - halves)[order], np.maximum.accumulate((x + halves)[order])
+    gap = lo[1:] > hi[:-1]
+    return list(zip((origin + hi[:-1][gap]).tolist(), (origin + lo[1:][gap]).tolist()))
 
-    def refine(j: int, best_f: float, lipschitz: float | None = None):
-        """Guarded refinement from scan point j within one step; the smallest value seen.
 
-        Given a Lipschitz constant of f, it stops as soon as the bracket
-        cannot hold a value below best_f.
-        """
-        phi = scan[j]
-        lo = max(phi - _PHASE_STEP, phi0 - half)
-        hi = min(phi + _PHASE_STEP, phi0 + half)
+def _bracket(phi: float, level: float, minorants: np.ndarray) -> tuple[float, float]:
+    """The arc around phi, at most 2 pi, on which every minorant below level at phi stays below it."""
+    theta, w = _below(minorants, level)
+    d = np.mod(phi - theta + math.pi, 2.0 * math.pi) - math.pi
+    bounding = (np.abs(d) < w) & (w < math.pi)  # one above level at phi is there by rounding alone
+    w, d = w[bounding], d[bounding]
+    return phi - float(np.min(w + d, initial=math.pi)), phi + float(np.min(w - d, initial=math.pi))
+
+
+def _phase_search(phi0: float, margin: float):
+    """The phase search of one pair from phi0, as a generator driven by _search.
+
+    It yields a list of phases, is sent per phase the branches of all blocks
+    in one list and their minorants along one axis (_branches_and_minorants),
+    and returns the distance.  margin bounds the rounding of any value.
+    """
+    found = []  # the minorants of every phase evaluated
+
+    def refine(phi: float, branches: list, lo: float, hi: float, best_f: float):
+        """Refine from phi in [lo, hi]: best value, stop phase, model-step reach (with no step, bracket's near side)."""
         steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
+        lo0, hi0, anchor = lo, hi, phi  # anchor: where the model steps since the last bisection began
         while best_f > 0.0:
-            tol = _ULPS * math.ulp(max(abs(phi), 1.0))
-            if hi - lo <= tol:
-                break
-            branches = yield True, [phi]
             f, slope, _ = max(branches)
             best_f = min(best_f, f)
-            if lipschitz is not None and f - lipschitz * (hi - lo) >= best_f:
+            tol = _ULPS * math.ulp(max(abs(phi), 1.0))
+            if hi - lo <= tol:
                 break
             if slope > 0.0:
                 hi = phi
@@ -402,92 +427,72 @@ def _phase_search(phi0: float, f0: float, norm_b: float):
             # halving the step at least every other iterate bounds the count
             if h is None or not lo < phi + h < hi or abs(h) > 0.5 * steps[-2]:
                 h = 0.5 * (lo + hi) - phi
+                anchor = phi + h
             steps.append(abs(h))
             phi += h
-        return best_f
+            [(branches, minorants)] = yield [phi]
+            found.append(minorants)
+        return best_f, phi, abs(phi - anchor) if len(steps) > 2 else min(phi - lo0, hi0 - phi)
 
-    order = sorted(range(len(values)), key=values.__getitem__)
-    best_f = yield from refine(order[0], min(values))
-    if f0 >= norm_b:
-        # every phi lies within half a step of a scan point
-        for j in order[1:]:
-            if values[j] - 0.5 * _PHASE_STEP * norm_b >= best_f:
-                break
-            best_f = yield from refine(j, best_f, norm_b)
-    return best_f
-
-
-def _stacked_svd(stacks: dict[int, np.ndarray], items: np.ndarray, phis: np.ndarray, full: bool) -> np.ndarray | list:
-    """Top singular value (full=False) or top branches (full=True) of x - e^{i phi} y, per item.
-
-    items has one row (size, x slot, y slot) per item, indexing stacks[size],
-    and phis the item's phase; x slot -1 stands for y alone.  Items of one
-    size share stacked LAPACK calls, chunked by _chunks.
-    """
-    out = [None] * len(items) if full else np.empty(len(items))
-    for size, stack in stacks.items():
-        sel = np.flatnonzero(items[:, 0] == size) if len(stacks) > 1 else np.arange(len(items))
-        z = np.exp(1j * phis[sel])
-        for c in _chunks(len(sel), stack[0].nbytes):
-            xs, y = items[sel[c], 1], stack[items[sel[c], 2]]
-            if full:
-                for i, r in zip(sel[c].tolist(), _top_branches(stack[xs], y, z[c])):
-                    out[i] = r
-            else:
-                m = stack[xs] - z[c, None, None] * y
-                if xs[-1] < 0:  # ||B|| items sit at the end of the first round
-                    m[xs < 0] = y[xs < 0]
-                out[sel[c]] = np.linalg.svd(m, compute_uv=False)[:, 0]
-    return out
+    closed, best_f, phases = [], math.inf, [phi0]
+    while True:
+        replies = yield phases
+        found += [minorants for _, minorants in replies]
+        values = [max(branches)[0] for branches, _ in replies]
+        j = int(np.argmin(values))
+        if values[j] < best_f:
+            lo, hi = _bracket(phases[j], values[j] + margin, np.concatenate(found, axis=1))
+            best_f, phi, reach = yield from refine(phases[j], replies[j][0], lo, hi, values[j])
+            closed.append((phi - reach, phi + reach))  # the arc its model steps reached
+        minorants = np.concatenate(found, axis=1)
+        arcs = _open_arcs(minorants, best_f - margin, closed) if best_f > margin else []
+        arcs = [(lo, hi) for lo, hi in arcs if hi - lo > _ULPS * math.ulp(max(abs(lo), abs(hi), 1.0))]
+        if not arcs:
+            return best_f
+        # one Shubert evaluation per arc, at the lowest of 16 points of the minorants' envelope
+        d, r, theta = minorants[:, :, None]
+        grids = [lo + (hi - lo) * (np.arange(16) + 0.5) / 16 for lo, hi in arcs]
+        phases = [float(g[np.argmin(np.max(np.hypot(d, r * np.sin(0.5 * (g - theta))), axis=0))]) for g in grids]
 
 
 def _search(stacks: dict[int, np.ndarray], geometry: list[np.ndarray], phi0: list[float]) -> list[float]:
     """The phase-aligned distance of each pair: its _phase_search, all run in lockstep.
 
     geometry[p] has one row (size, x slot, y slot) per block of pair p,
-    indexing stacks[size]; phi0[p] is its starting phase.  The first round
-    takes f(phi0) and ||B|| (the largest top singular value of the y blocks)
-    of every pair in one values-only call, each later round one call per
-    kind of request and block size.
+    indexing stacks[size]; phi0[p] is its starting phase.  A round evaluates
+    every phase asked for in stacked calls, one per block size and
+    _STACK_BYTES; a pair's margin is 4 eps (||A||_F + ||B||_F) of its largest block.
     """
     if not geometry:
         return []
     nbs = [len(geo) for geo in geometry]
-    items = np.concatenate(geometry)
-    lone = sorted({(size, y) for size, y in items[:, [0, 2]].tolist()})
-    values = _stacked_svd(
-        stacks,
-        np.concatenate([items, [(size, -1, y) for size, y in lone]]),
-        np.concatenate([np.repeat(phi0, nbs), np.zeros(len(lone))]),
-        False,
-    )
-    f0 = np.maximum.reduceat(values[: len(items)], np.cumsum([0] + nbs[:-1])).tolist()
-    norms = dict(zip(lone, values[len(items) :].tolist()))
+    norms = {size: np.linalg.norm(stack, axis=(1, 2)) for size, stack in stacks.items()}
     searches = [
-        _phase_search(phi, f, max(norms[size, y] for size, _, y in geo.tolist()))
-        for geo, phi, f in zip(geometry, phi0, f0)
+        _phase_search(phi, 4.0 * np.finfo(float).eps * max(norms[s][x] + norms[s][y] for s, x, y in geo.tolist()))
+        for geo, phi in zip(geometry, phi0)
     ]
     distances: list[float] = [0.0] * len(geometry)
     pending = {p: next(search) for p, search in enumerate(searches)}
     while pending:
-        replies: dict[int, list] = {}
-        for full in (False, True):
-            asks = [(p, phases) for p, (kind, phases) in pending.items() if kind == full]
-            per_phase = [(p, phi) for p, phases in asks for phi in phases]
-            geo = [geometry[p] for p, _ in per_phase]
-            phis = np.repeat([phi for _, phi in per_phase], [nbs[p] for p, _ in per_phase])
-            results = _stacked_svd(stacks, np.concatenate(geo), phis, full) if geo else []
-            start = 0
-            for p, phases in asks:
-                stop = start + len(phases) * nbs[p]
-                if full:
-                    replies[p] = [br for res in results[start:stop] for br in res]
-                else:
-                    replies[p] = np.reshape(results[start:stop], (len(phases), nbs[p])).max(axis=1).tolist()
-                start = stop
-        for p in list(pending):
+        asks = [(p, phi) for p, phases in pending.items() for phi in phases]
+        items = np.concatenate([geometry[p] for p, _ in asks])
+        phis = np.repeat([phi for _, phi in asks], [nbs[p] for p, _ in asks])
+        branches, minorants = [None] * len(items), [None] * len(items)
+        for size, stack in stacks.items():
+            sel = np.flatnonzero(items[:, 0] == size) if len(stacks) > 1 else np.arange(len(items))
+            per = max(1, _STACK_BYTES // stack[0].nbytes)  # one item at least
+            for chunk in (sel[lo : lo + per] for lo in range(0, len(sel), per)):
+                rows, z = items[chunk], np.exp(1j * phis[chunk])
+                for i, br, mn in zip(chunk.tolist(), *_branches_and_minorants(stack[rows[:, 1]], stack[rows[:, 2]], z)):
+                    branches[i], minorants[i] = br, mn
+        start = 0
+        for p, phases in list(pending.items()):
+            reply = []
+            for end in range(start + nbs[p], start + nbs[p] * len(phases) + 1, nbs[p]):
+                reply.append((sum(branches[start:end], []), np.concatenate(minorants[start:end], axis=1)))
+                start = end
             try:
-                pending[p] = searches[p].send(replies[p])
+                pending[p] = searches[p].send(reply)
             except StopIteration as stop:
                 distances[p] = stop.value
                 del pending[p]
@@ -523,30 +528,24 @@ def phase_aligned_distances(
     parity blocks, f is the larger of the two block norms; a pair that
     couples them is searched as one block.
 
-    The search starts at phi0 = arg tr(B^dag A) with A, B the projected
-    arguments.  As f(phi) >= |e^{i phi} - e^{i phi0}| ||B|| - f(phi0), no
-    phase farther than 2 arcsin(f(phi0) / ||B||) from phi0 beats f(phi0), so
-    only that arc is scanned, at spacing 2 pi / 96, by singular values alone.
+    Each evaluation of f is one full SVD per block: the two largest singular
+    values with their first and second derivatives in phi, and a minorant of
+    f at all phases from every singular pair (_branches_and_minorants).  The
+    first is at phi0 = arg tr(B^dag A), A and B the projected arguments.  A
+    refinement steps to the nearest local minimum of the largest branch model
+    (_model_step): Newton at a smooth minimum, the crossing of two branches at
+    a kink (Lewis & Overton, Acta Numerica 5 (1996) 149).  Its bracket, first
+    the arc around phi0 that the minorants leave open, narrows with the sign
+    of the slope; a step leaving it or longer than half the step before last
+    is replaced by bisection.  It stops at a step of a few ulps of phi, keeps
+    the smallest value seen, so distances are exact to rounding, and closes
+    the arc around its minimum that its model steps reached.  The minorants
+    rule out in closed form every phase where f cannot beat the best value by
+    more than rounding.  Each arc left gets one evaluation at the lowest point
+    of the minorants' envelope (Shubert, SIAM J. Numer. Anal. 9 (1972) 379),
+    and a refinement runs from one that beats the best value, until no arc is left.
 
-    The refinement around the best scan point takes one full SVD per block
-    per iterate, which gives each block's two largest singular values with
-    their exact first and second derivatives in phi (_top_branches).  The
-    step goes to the nearest local minimum of the largest of these
-    branches' quadratic models (_model_step): a Newton step at a smooth
-    minimum, the intersection of two branches at a kink (Lewis & Overton,
-    Acta Numerica 5 (1996) 149).  A bracket, narrowed by the sign of the
-    active slope, guards every step: a step that would leave it, or that is
-    longer than half the step before last, is replaced by bisection.  It
-    stops when the step is a few ulps of phi, and the smallest value seen
-    is returned, so distances are exact to rounding.
-
-    When f(phi0) >= ||B|| the whole circle is scanned, and f may have
-    several local minima there.  f is ||B||-Lipschitz in phi, so the
-    refinement is then repeated around every other scan point p with
-    f(p) - ||B|| pi / 96 below the best value found, each run stopping once
-    its bracket cannot hold a lower value.
-
-    All pairs are searched in lockstep (_search), each stage one stacked
+    All pairs are searched in lockstep (_search), each round one stacked
     LAPACK call over every pair and block (capped at _STACK_BYTES); numpy's
     stacked calls are bit-identical per matrix to single ones, so a pair's
     result does not depend on the other pairs.

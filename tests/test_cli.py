@@ -369,19 +369,21 @@ def test_row_and_report_compute_only_printed_distances(monkeypatch, capsys):
 
 def test_row_lapack_calls(monkeypatch):
     # at the default point a row takes one stacked eigh for its four
-    # exponentials and at most 8 SVD calls for its three distances
-    calls = {"eigh": 0, "svd": 0}
+    # exponentials and at most 8 SVD calls for its three distances, all full
+    # (the minorants and branches of one round each), none values-only
+    calls = {"eigh": [], "svd": []}
     for name in calls:
         real = getattr(np.linalg, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(kwargs.get("compute_uv", True))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
     cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
-    assert calls["eigh"] == 1
-    assert 0 < calls["svd"] <= 8
+    assert len(calls["eigh"]) == 1
+    assert 0 < len(calls["svd"]) <= 8
+    assert all(calls["svd"])
 
 
 def test_row_and_report_share_the_full_matrix_distances(capsys):

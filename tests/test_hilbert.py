@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from jcmagnus.hilbert import (
     HilbertSpec,
     adjoint,
     annihilation,
+    anti_herm_tolerance,
+    anti_hermiticity_defect,
     creation,
     expm_antiherm,
     number,
@@ -182,3 +186,33 @@ def test_hermitian_norm_matches_spectral_norm(rng):
     with pytest.raises(ValueError, match="not anti-Hermitian"):
         expm_antiherm(g + 1e-6 * np.eye(12))
 
+
+
+def test_expm_antiherm_frobenius_guard(rng, monkeypatch):
+    # ||G + G^dag||_F bounds the spectral norm, so eigvalsh runs only for a
+    # generator whose Frobenius norm exceeds the tolerance, and the spectral
+    # norm still decides: with G + G^dag = delta I on 16 states the Frobenius
+    # norm is 4 delta, the spectral norm delta, and the tolerance 1e-10
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    g = random_antihermitian(rng, 16)
+    g *= 0.5 / spectral_norm(g)
+    expm_antiherm(g)
+    assert calls == []
+    passing = g + 2.5e-11 * np.eye(16)
+    assert np.linalg.norm(passing + adjoint(passing)) > anti_herm_tolerance(0.5) >= anti_hermiticity_defect(passing)
+    assert spectral_norm(expm_antiherm(passing) - expm_antiherm(g)) <= 1e-14
+    assert len(calls) == 2  # the guard's eigvalsh and anti_hermiticity_defect's
+    failing = g + 2e-10 * np.eye(16)
+    message = (
+        f"generator is not anti-Hermitian: ||G + G^dag|| = {anti_hermiticity_defect(failing):.3e} "
+        f"exceeds tolerance {anti_herm_tolerance(0.5):.3e}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        expm_antiherm(failing)

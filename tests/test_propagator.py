@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -342,19 +344,69 @@ def test_phase_aligned_distances_batch_independent():
         assert [d == 0.0 for d in got] == [u1 is u2 for u1, u2 in batch]
 
 
+def _grid_phases_below(a, b, floor, points=20_000):
+    """The phases of an equispaced grid at which every block k has ||a_k - e^{i phi} b_k|| < floor.
+
+    f is the largest block norm, so a phase is ruled out by the first block
+    whose norm reaches floor, and later blocks are evaluated only where the
+    earlier ones did not rule it out.
+    """
+    phis = np.linspace(-np.pi, np.pi, points, endpoint=False)
+    for x, y in zip(a, b):
+        tops = [
+            np.linalg.svd(x - np.exp(1j * part)[:, None, None] * y, compute_uv=False)[:, 0]
+            for part in np.array_split(phis, max(1, phis.size // 2000))
+        ]
+        phis = phis[np.concatenate(tops) < floor]
+    return phis
+
+
+@pytest.mark.parametrize(
+    "fock, w0, g, t, pairs",
+    [
+        (12, 0.8, 0.05, 1.0, list(itertools.combinations(range(4), 2))),
+        (12, 1.0, 0.2, 3.0, list(itertools.combinations(range(4), 2))),
+        (24, 0.8, 0.05, 1.0, [(0, 1), (0, 2), (0, 3)]),
+    ],
+)
+def test_phase_alignment_below_every_grid_phase(fock, w0, g, t, pairs):
+    # the minorants certify the global minimum: no phase of a 20 000-point
+    # grid has f below the returned distance by more than rounding
+    bundle = propagator_bundle(ModelParams(1.0, w0, g), HilbertSpec(fock), t)
+    corners = bundle.blocks[:, :, : fock - 2, : fock - 2]
+    for (i, j), got in zip(pairs, block_distances(bundle.blocks, pairs)):
+        below = _grid_phases_below(corners[i], corners[j], got - (1e-12 * got + 1e-15))
+        assert below.size == 0, (i, j, got, below[:3])
+
+
+def test_phase_alignment_below_every_grid_phase_haar():
+    # far-apart Haar pairs on a window, where f has several local minima and
+    # the minorants are loose
+    rng = np.random.default_rng(20261019)
+    for dim, buffer in ((8, 1), (10, 2), (12, 3)):
+        keep = np.arange(dim - buffer)
+        for _ in range(2):
+            u1, u2 = random_unitary(rng, dim), random_unitary(rng, dim)
+            got = phase_aligned_distance(u1, u2, np.diag((np.arange(dim) < dim - buffer).astype(complex)))
+            a, b = (u[np.ix_(keep, keep)][None] for u in (u1, u2))
+            assert _grid_phases_below(a, b, got - (1e-12 * got + 1e-15)).size == 0, (dim, buffer, got)
+
+
 def test_error_report_stacks_svd_calls(monkeypatch):
-    # the six distances of a row share stacked LAPACK calls: f(phi0) with
-    # ||B||, scan, and one call per refinement round
+    # the six distances of a row share stacked LAPACK calls, one full SVD
+    # call per round: the one at phi0 that gives the minorants, then the
+    # refinement's; none is values-only
     calls = []
     real_svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
-        calls.append(np.shape(args[0]))
+        calls.append(kwargs.get("compute_uv", True))
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     error_report(PARAMS, HilbertSpec(12), 1.0)
     assert 0 < len(calls) <= 9
+    assert all(calls)
 
 
 def test_block_distances_match_full_matrices():
