@@ -23,7 +23,7 @@ from .hilbert import (
 )
 from .jc_model import ModelParams
 from .magnus import _ramp, integrals_closed, omega2_closed, shift_rates, squeeze_params
-from .propagator import u_exact, u_rwa, unitarity_defect
+from .propagator import _exponentials, unitarity_defect
 
 __all__ = [
     "SqueezingReport",
@@ -242,7 +242,8 @@ def bs_phase_probe(params: ModelParams, spec: HilbertSpec, t: float) -> tuple[fl
     measured = arg<0,g|u_exact|0,g> - arg<0,g|u_rwa|0,g>; the RWA Hamiltonian
     annihilates |0, g>, so the whole phase difference is the counter-rotating
     second-order shift.  predicted = bs_rate(n=0, ground) * t = g^2 t / sigma.
-    Meaningful while g t / pi stays below about one half.
+    Meaningful while g t / pi stays below about one half.  Both propagators
+    come from one stacked exponential; |0, g> is position 0 of parity block 0.
     """
-    idx = spec.index(0, ATOM_GROUND)
-    return _bs_phase(u_exact(params, spec, t)[idx, idx], u_rwa(params, spec, t)[idx, idx], params, t)
+    blocks = _exponentials(spec, [(params, t, "exact"), (params, t, "rwa")])
+    return _bs_phase(blocks[0, 0, 0, 0], blocks[1, 0, 0, 0], params, t)

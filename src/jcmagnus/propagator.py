@@ -15,15 +15,17 @@ rounding for every t and unitary by construction.
 Block layout.  Every operator here conserves the parity of n + [atom
 excited], because the counter-rotating terms change the excitation number by
 two.  The 2N states (N = fock_dim) split into two parity blocks of N states,
-and inside either block the state of Fock level n sits at position n
-(_block_layout).  A propagator is held as its two blocks, an (2, N, N) array,
-so the buffered window of project_buffer (Fock levels 0 .. N-1-buffer) is the
-leading (N - buffer) corner of each block.  Generators are gathered into
-their blocks by cached index arrays (one that couples the blocks raises), all
-blocks are exponentiated in stacked eigh calls, and D(t) is applied per
-block.  Full 2N x 2N matrices, with cross-parity entries exactly zero, are
-assembled only where they are read: u_exact, u_rwa, u_magnus and the
-PropagatorBundle fields.
+and inside either block the state of Fock level n sits at position n.  Only
+_block_layout knows which basis index sits where: _gather splits full
+matrices on Fock levels 0 .. L-1 into their blocks and says whether they
+couple them, and _assemble puts blocks back.  A propagator is held as its two
+blocks, an (2, N, N) array, so the buffered window of project_buffer (Fock
+levels 0 .. N-1-buffer) is the leading (N - buffer) corner of each block.
+Generators are gathered into their blocks (one that couples the blocks
+raises), all blocks are exponentiated in stacked eigh calls, and D(t) scales
+the rows of each block.  Full 2N x 2N matrices, with cross-parity entries
+zero, are assembled only where they are read: u_exact, u_rwa, u_magnus and
+the PropagatorBundle fields.
 
 Errors are phase-aligned spectral-norm distances on the buffered window
 (phase_aligned_distances), because ladder truncation corrupts the top levels
@@ -31,19 +33,19 @@ and two propagators may differ by a global phase.  One search (_search) runs
 the distances of many pairs in lockstep, one stacked full-SVD call per round,
 whose singular pairs bound the distance from below at every phase and so
 rule phases out in closed form; block_distances feeds it the block corners,
-phase_aligned_distances slices arbitrary full matrices into the same form.
+phase_aligned_distances gathers the windows of full matrices into the same form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .hilbert import ATOM_EXCITED, HilbertSpec, _hermitian_norm, adjoint, expm_antiherm
+from .hilbert import HilbertSpec, _hermitian_norm, adjoint, expm_antiherm
 from .jc_model import ModelParams, frame_phases, h_rotated, h_rwa
 from .magnus import convergence_margin, omega1_closed, omega2_closed
 
@@ -102,13 +104,22 @@ def _block_layout(fock_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return index, gather, cross
 
 
+def _gather(mats, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, couples) of a stack of square matrices on Fock levels 0 .. levels-1.
+
+    blocks[k], shape (2, levels, levels), holds the parity blocks of the
+    leading (2 levels) x (2 levels) window of matrix k; couples[k] is whether
+    that window has a nonzero entry between the blocks.
+    """
+    _, gather, cross = _block_layout(levels)
+    window = np.asarray(mats)[:, : 2 * levels, : 2 * levels].reshape(len(mats), -1)
+    return np.take(window, gather, axis=1), np.any(window[:, cross], axis=1)
+
+
 def _assemble(blocks: np.ndarray, levels: int) -> np.ndarray:
     """The full matrices on Fock levels 0 .. levels-1 of a stack of (2, N, N) block arrays."""
-    index = _block_layout(blocks.shape[2])[0][:, :levels]
-    at = (index[:, :, None] * (2 * levels) + index[:, None, :]).ravel()
     full = np.zeros((len(blocks), 4 * levels * levels), dtype=complex)
-    for out, corners in zip(full, blocks[:, :, :levels, :levels]):
-        out[at] = corners.ravel()
+    full[:, _block_layout(levels)[1]] = blocks[:, :, :levels, :levels]
     return full.reshape(len(blocks), 2 * levels, 2 * levels)
 
 
@@ -124,11 +135,10 @@ class PropagatorBundle:
     blocks: np.ndarray
     params: ModelParams
     t: float
-    _parts: tuple = field(repr=False, compare=False)  # _full_matrices' arguments
 
     @cached_property
-    def _matrices(self) -> list[np.ndarray]:
-        return _full_matrices(*self._parts)
+    def _matrices(self) -> np.ndarray:
+        return _assemble(self.blocks, self.blocks.shape[2])
 
     u_exact = property(lambda self: self._matrices[0])
     u_rwa = property(lambda self: self._matrices[1])
@@ -154,53 +164,33 @@ def project_buffer(spec: HilbertSpec, buffer: int) -> np.ndarray:
     return np.diag(np.repeat(keep, 2).astype(complex))
 
 
-def _parity_blocks(index: np.ndarray) -> list[np.ndarray]:
-    """Positions in `index` of the even and of the odd n + [atom excited] states.
-
-    `index` holds basis indices under the field-first convention; empty
-    blocks are dropped.
-    """
-    parity = (index // 2 + (index % 2 == ATOM_EXCITED)) % 2
-    blocks = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
-    return [blk for blk in blocks if blk.size]
-
-
-def _couples_blocks(m: np.ndarray, blocks: list[np.ndarray]) -> bool:
-    """Whether m has a nonzero entry between two different parity blocks."""
-    return len(blocks) > 1 and bool(
-        np.any(m[np.ix_(blocks[0], blocks[1])]) or np.any(m[np.ix_(blocks[1], blocks[0])])
-    )
-
-
 def _expm_blockwise(gens: list[np.ndarray]) -> np.ndarray:
     """exp(G) of each parity-conserving anti-Hermitian G on 2 N states, as its blocks, shape (len(gens), 2, N, N).
 
     All blocks go in one stacked expm_antiherm call when they fit in _STACK_BYTES,
     else one generator's two blocks per call (all eight measured slower).
     """
-    _, gather, cross = _block_layout(gens[0].shape[0] // 2)
-    blocks = np.empty((len(gens), *gather.shape), dtype=complex)
-    for gen, out in zip(gens, blocks):
-        if np.any(gen.ravel()[cross]):
-            raise ValueError("generator couples the two excitation-parity blocks")
-        out[...] = gen.ravel()[gather]
-    stack = blocks.reshape(-1, *gather.shape[1:])
+    blocks, couples = _gather(gens, gens[0].shape[0] // 2)
+    if np.any(couples):
+        raise ValueError("generator couples the two excitation-parity blocks")
+    stack = blocks.reshape(-1, *blocks.shape[2:])
     per = len(stack) if stack.nbytes <= _STACK_BYTES else 2
     for lo in range(0, len(stack), per):
         stack[lo : lo + per] = expm_antiherm(stack[lo : lo + per])
     return blocks
 
 
-def _exponentials(spec: HilbertSpec, requests: list[tuple[ModelParams, float, str]]) -> tuple[np.ndarray, list]:
-    """Each (params, t, kind) request's exponential as parity blocks, and the D(t) diagonal that completes it.
+def _exponentials(spec: HilbertSpec, requests: list[tuple[ModelParams, float, str]]) -> np.ndarray:
+    """Each (params, t, kind) request's propagator as parity blocks, shape (len(requests), 2, N, N).
 
     kind is "exact", "rwa", "magnus1" or "magnus2", all exponentiated in one
     _expm_blockwise call.  The frame kinds are D(t) exp(-i t (H(0) + F)) with
-    H = h_rotated or h_rwa, the identity at t = 0 or g = 0; D(t) is None
-    there and for the Magnus kinds.  Omega_1 is shared by both Magnus orders.
+    H = h_rotated or h_rwa, the identity at t = 0 or g = 0; D(t) scales row n
+    of block b by its entry at _block_layout's index[b, n].  Omega_1 is
+    shared by both Magnus orders.
     """
     exps = np.empty((len(requests), 2, spec.fock_dim, spec.fock_dim), dtype=complex)
-    frames: list[np.ndarray | None] = [None] * len(requests)
+    frames: dict[int, np.ndarray] = {}  # request position -> the diagonal of D(t)
     gens, computed = [], []  # the generators to exponentiate and their requests
     omega1: dict[tuple[ModelParams, float], np.ndarray] = {}
     for i, (params, t, kind) in enumerate(requests):
@@ -222,59 +212,47 @@ def _exponentials(spec: HilbertSpec, requests: list[tuple[ModelParams, float, st
         computed.append(i)
     if gens:
         exps[computed] = _expm_blockwise(gens)
-    return exps, frames
-
-
-def _framed(exps: np.ndarray, frames: list[np.ndarray | None]) -> np.ndarray:
-    """The blocks with D(t) applied: row n of block b times D(t) at _block_layout's index[b, n]."""
-    index = _block_layout(exps.shape[2])[0]
-    return np.stack([u if frame is None else frame[index][:, :, None] * u for u, frame in zip(exps, frames)])
-
-
-def _full_matrices(exps: np.ndarray, frames: list[np.ndarray | None]) -> list[np.ndarray]:
-    """The full 2N x 2N propagators: the assembled exponentials with D(t) applied."""
-    full = _assemble(exps, exps.shape[2])
-    return [u if frame is None else frame[:, None] * u for u, frame in zip(full, frames)]
+    index = _block_layout(spec.fock_dim)[0]
+    for i, frame in frames.items():
+        # a new product, frame on the left: scaling in place rounds differently
+        exps[i] = frame[index][:, :, None] * exps[i]
+    return exps
 
 
 def u_exact(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Exact propagator of h_rotated over [0, t]."""
-    return _full_matrices(*_exponentials(spec, [(params, t, "exact")]))[0]
+    return _assemble(_exponentials(spec, [(params, t, "exact")]), spec.fock_dim)[0]
 
 
 def u_rwa(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Exact propagator of the RWA Hamiltonian h_rwa over [0, t]."""
-    return _full_matrices(*_exponentials(spec, [(params, t, "rwa")]))[0]
+    return _assemble(_exponentials(spec, [(params, t, "rwa")]), spec.fock_dim)[0]
 
 
 def u_magnus(params: ModelParams, spec: HilbertSpec, t: float, order: int) -> np.ndarray:
     """exp(Omega_1) or exp(Omega_1 + Omega_2); a single exponential of the sum."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return _full_matrices(*_exponentials(spec, [(params, t, f"magnus{order}")]))[0]
+    return _assemble(_exponentials(spec, [(params, t, f"magnus{order}")]), spec.fock_dim)[0]
 
 
-def _kept_indices(projector: np.ndarray) -> np.ndarray:
-    diag = np.diag(projector)
-    if not (np.array_equal(projector, np.diag(diag)) and np.all((diag == 0) | (diag == 1))):
-        raise ValueError("projector must be diagonal with 0/1 entries, as project_buffer returns")
-    return np.flatnonzero(diag)
-
-
-def _parity_block_norms(mats: list[np.ndarray], projector: np.ndarray | None = None) -> list[float]:
-    """Spectral norm of each matrix on the kept indices of projector, taken per parity block.
-
-    One stacked values-only SVD covers every block.  A matrix that couples
-    the two blocks gets inf, so a check built on these norms fails on it.
-    """
-    index = np.arange(np.shape(mats[0])[0]) if projector is None else _kept_indices(projector)
-    blocks = [index[blk] for blk in _parity_blocks(index)]
-    stack, couples = [], []
-    for m in map(np.asarray, mats):
-        couples.append(_couples_blocks(m, blocks))
-        stack += [m[np.ix_(blk, blk)] for blk in blocks]
-    tops = np.linalg.svd(np.stack(stack), compute_uv=False)[:, 0].reshape(len(mats), -1)
-    return [math.inf if c else float(top) for c, top in zip(couples, tops.max(axis=1))]
+def _windowed(pair: tuple[np.ndarray, np.ndarray], projector: np.ndarray | None) -> np.ndarray:
+    """The two matrices of pair on the leading window that projector keeps, stacked; malformed input raises."""
+    x, y = (np.asarray(u, dtype=complex) for u in pair)
+    if not all(m.ndim == 2 and m.shape[0] == m.shape[1] for m in (x, y)):
+        raise ValueError(f"distances need square matrices, got shapes {x.shape} and {y.shape}")
+    if x.shape != y.shape:
+        raise ValueError(f"the matrices of a pair differ in size: {x.shape} and {y.shape}")
+    keep = len(x)
+    if projector is not None:
+        if np.shape(projector) != x.shape:
+            raise ValueError(f"projector has shape {np.shape(projector)}, the matrices {x.shape}")
+        keep = int(np.count_nonzero(np.diag(projector)))
+        if not np.array_equal(projector, np.diag(np.arange(len(x)) < keep)):
+            raise ValueError("projector must keep a leading window (0/1 diagonal), as project_buffer returns")
+    if keep == 0:
+        raise ValueError("the window is empty: the projector keeps no index")
+    return np.stack([x[:keep, :keep], y[:keep, :keep]])
 
 
 def _branches_and_minorants(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
@@ -523,10 +501,12 @@ def phase_aligned_distances(
 ) -> list[float]:
     """min over phi of f(phi) = ||P U1 P - e^{i phi} P U2 P|| in spectral norm, per (U1, U2).
 
-    P is a diagonal 0/1 projector (project_buffer); the norm is taken on the
-    kept indices directly.  When neither matrix of a pair couples the two
-    parity blocks, f is the larger of the two block norms; a pair that
-    couples them is searched as one block.
+    P is a diagonal 0/1 projector that keeps a leading window, as
+    project_buffer does; the norm is taken on the window directly.  When the
+    window has an even length and neither matrix of a pair couples the two
+    parity blocks on it, f is the larger of the two block norms (_gather);
+    otherwise the pair is searched as one block.  A non-square or mismatched
+    pair, a projector of another size and an empty window raise ValueError.
 
     Each evaluation of f is one full SVD per block: the two largest singular
     values with their first and second derivatives in phi, and a minorant of
@@ -550,18 +530,16 @@ def phase_aligned_distances(
     stacked calls are bit-identical per matrix to single ones, so a pair's
     result does not depend on the other pairs.
     """
-    kept = None if projector is None else _kept_indices(projector)
     members: dict[int, list[np.ndarray]] = {}  # the blocks compared, by size
     geometry, phi0 = [], []
     for pair in pairs:
-        index = np.arange(np.shape(pair[0])[0]) if kept is None else kept
-        ms = [np.asarray(u, dtype=complex)[np.ix_(index, index)] for u in pair]
+        ms = _windowed(pair, projector)
         phi0.append(float(np.angle(np.vdot(ms[1], ms[0]))))
-        blocks = _parity_blocks(index)
-        if any(_couples_blocks(m, blocks) for m in ms):
-            parts = [ms]
-        else:
-            parts = [[m[np.ix_(blk, blk)] for m in ms] for blk in blocks]
+        parts = [ms]
+        if len(ms[0]) % 2 == 0:
+            blocks, couples = _gather(ms, len(ms[0]) // 2)
+            if not np.any(couples):
+                parts = blocks.transpose(1, 0, 2, 3)  # per block, the pair's two
         rows = []
         for x, y in parts:
             group = members.setdefault(len(x), [])
@@ -584,8 +562,7 @@ def phase_aligned_distance(
 
 def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> PropagatorBundle:
     """The four propagators at one parameter point, from one stacked exponential."""
-    exps, frames = _exponentials(spec, [(params, t, kind) for kind in _KINDS])
-    return PropagatorBundle(_framed(exps, frames), params, t, (exps, frames))
+    return PropagatorBundle(_exponentials(spec, [(params, t, kind) for kind in _KINDS]), params, t)
 
 
 def error_report(

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jcmagnus import cli, magnus
+from jcmagnus import cli, magnus, propagator
 from jcmagnus.cli import SWEEP_FIELDS, RunConfig, load_config_file, main
 from jcmagnus.hilbert import HilbertSpec
 from jcmagnus.jc_model import ModelParams
@@ -317,6 +317,32 @@ def test_verify_antihermiticity_fails_on_parity_coupling(monkeypatch, capsys):
     monkeypatch.setattr(cli, "omega1_closed", coupled)
     assert cli.cmd_verify(RunConfig(fock_dim=8, quad_steps=256)) == 1
     assert "ANTIHERMITICITY FAIL inf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fock", ["12", "24"])
+def test_verify_buffer_zero_passes(fock, capsys):
+    # the checks that read the closed Omega_2 keep one guard level, so a
+    # correct program passes at --buffer 0 too
+    assert main(["verify", "--buffer", "0", "--fock-dim", fock]) == 0
+    assert " FAIL " not in capsys.readouterr().out
+
+
+def test_verify_buffer_zero_catches_flipped_squeeze(monkeypatch, capsys):
+    # an Omega_2 whose squeeze term has the wrong sign still fails the
+    # quadrature oracle and the order-by-order scaling at --buffer 0
+    real_omega2 = cli.omega2_closed
+
+    def flipped(params, spec, t):
+        res = real_omega2(params, spec, t)
+        *_, a2_sz, ad2_sz = magnus._second_order_operators(spec)
+        zeta, g2 = magnus.integrals_closed(params, t).zeta, params.g * params.g
+        return replace(res, omega2=res.omega2 - g2 * (np.conj(zeta) * a2_sz - zeta * ad2_sz))
+
+    monkeypatch.setattr(cli, "omega2_closed", flipped)
+    monkeypatch.setattr(propagator, "omega2_closed", flipped)
+    assert main(["verify", "--buffer", "0"]) == 1
+    status = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines())
+    assert status["OMEGA2_CLOSED_VS_QUADRATURE"] == status["ERROR_SCALING"] == "FAIL"
 
 
 @pytest.mark.parametrize("t", ["1e-6", "1e-4", "1e-3"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jcmagnus.hilbert import HilbertSpec, annihilation, creation, expm_antiherm, tensor
+from jcmagnus.hilbert import ATOM_GROUND, HilbertSpec, annihilation, creation, expm_antiherm, tensor
 from jcmagnus.jc_model import ModelParams
 from jcmagnus.magnus import squeeze_params
 from jcmagnus.observables import (
@@ -18,7 +18,7 @@ from jcmagnus.observables import (
     quadrature_variance,
     squeezing_report,
 )
-from jcmagnus.propagator import u_exact
+from jcmagnus.propagator import u_exact, u_rwa
 
 from conftest import angle_diff_mod_pi
 
@@ -212,6 +212,26 @@ def test_bs_phase_probe_quadratic_scaling():
     _, p1 = bs_phase_probe(ModelParams(1.0, 0.9, 0.01), spec, 20.0)
     _, p2 = bs_phase_probe(ModelParams(1.0, 0.9, 0.02), spec, 20.0)
     assert p2 / p1 == pytest.approx(4.0, rel=1e-12)
+
+
+def test_bs_phase_probe_one_eigh_call(monkeypatch):
+    # both propagators come from one stacked exponential, and the phases are
+    # the entries of u_exact and u_rwa at |0, g>
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    p, spec, t = ModelParams(1.0, 0.9, 0.02), HilbertSpec(12), 20.0
+    measured, _ = bs_phase_probe(p, spec, t)
+    assert calls == [(4, 12, 12)]
+    idx = spec.index(0, ATOM_GROUND)
+    monkeypatch.undo()
+    want = np.angle(u_exact(p, spec, t)[idx, idx]) - np.angle(u_rwa(p, spec, t)[idx, idx])
+    assert measured == (want + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def test_squeezing_report_fields():

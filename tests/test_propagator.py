@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from jcmagnus import propagator
+from jcmagnus.cli import _block_norms
 from jcmagnus.hilbert import HilbertSpec, annihilation, creation, spectral_norm, tensor
 from jcmagnus.jc_model import ModelParams, frame_phases, h_rwa
 from jcmagnus.propagator import (
+    _block_layout,
     _expm_blockwise,
-    _parity_block_norms,
-    _parity_blocks,
     block_distances,
     error_report,
     phase_aligned_distance,
@@ -424,24 +425,77 @@ def test_block_distances_match_full_matrices():
 
 
 def test_parity_block_norms(rng):
-    # per-block norms equal the norm of the projected matrix for a
-    # parity-conserving matrix, and a matrix that couples the blocks gets inf
+    # per-block norms on a leading window of Fock levels equal the norm of
+    # the projected matrix for a parity-conserving matrix; a matrix that
+    # couples the blocks on the window gets inf, and coupling outside the
+    # window does not count
     spec = HilbertSpec(8)
-    proj = project_buffer(spec, 2)
     bundle = propagator_bundle(PARAMS, spec, 1.0)
     mats = [bundle.u_exact - bundle.u_magnus2, bundle.u_rwa, u_magnus(PARAMS, spec, 1.0, 1) - np.eye(16)]
-    for p in (None, proj):
-        got = _parity_block_norms(mats, p)
-        want = [spectral_norm(m if p is None else p @ m @ p) for m in mats]
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    for buffer in (0, 2):
+        p = project_buffer(spec, buffer)
+        got = _block_norms(mats, spec.fock_dim - buffer)
+        assert got.tolist() == pytest.approx([spectral_norm(p @ m @ p) for m in mats], rel=1e-14, abs=0.0)
     coupled = bundle.u_exact + 1e-3 * random_unitary(rng, 16)
-    assert _parity_block_norms([bundle.u_rwa, coupled], proj) == [pytest.approx(1.0), np.inf]
+    assert _block_norms([bundle.u_rwa, coupled], 6).tolist() == [pytest.approx(1.0), np.inf]
+    edge = bundle.u_rwa.copy()
+    edge[15, 14] = 1e-3  # |7, g> and |7, e> differ in parity
+    assert np.isfinite(_block_norms([edge], 7)[0]) and _block_norms([edge], 8)[0] == np.inf
 
 
 def test_phase_alignment_rejects_non_diagonal_projector():
     u = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="projector"):
         phase_aligned_distance(u, u, np.full((4, 4), 0.25))
+
+
+@pytest.mark.parametrize(
+    "u1, u2, diag, cause",
+    [
+        (np.eye(8), np.eye(10), None, "differ in size"),
+        (np.ones((4, 6)), np.ones((4, 6)), None, "square"),
+        (np.eye(12), np.eye(12), np.arange(8) < 4, "projector has shape"),
+        (np.eye(8), np.eye(8), np.arange(12) < 6, "projector has shape"),
+        (np.eye(8), np.eye(8), np.zeros(8), "window is empty"),
+        (np.eye(8), np.eye(8), np.arange(8) >= 2, "leading window"),
+        (np.eye(8), np.eye(8), np.arange(8) % 2 == 0, "leading window"),
+        (np.eye(8), np.eye(8), 0.5 * (np.arange(8) < 6), "leading window"),
+    ],
+    ids=["mismatched", "non_square", "projector_small", "projector_large", "empty", "trailing", "interleaved", "half"],
+)
+def test_phase_alignment_rejects_malformed_input(u1, u2, diag, cause):
+    # mismatched or non-square pairs, projectors of another size, empty
+    # windows and 0/1 diagonals that do not keep a leading window raise,
+    # naming the cause, from the one-pair and the batch entry alike
+    proj = None if diag is None else np.diag(diag.astype(complex))
+    with pytest.raises(ValueError, match=cause):
+        phase_aligned_distance(u1, u2, proj)
+    with pytest.raises(ValueError, match=cause):
+        phase_aligned_distances([(np.eye(len(u1)), np.eye(len(u1))), (u1, u2)], proj)
+
+
+def test_phase_alignment_odd_window_is_one_block(monkeypatch):
+    # a leading window of odd length cuts a Fock level in half, so even a
+    # parity-conserving library pair is searched as one block there, and the
+    # distance is still the scan oracle's
+    geometries = []
+
+    def record(stacks, geometry, phi0):
+        geometries.append([geo.tolist() for geo in geometry])
+        return real_search(stacks, geometry, phi0)
+
+    real_search = propagator._search
+    monkeypatch.setattr(propagator, "_search", record)
+    bundle = propagator_bundle(ModelParams(1.0, 0.9, 0.05), HilbertSpec(8), 2.0)
+    for keep in (15, 13, 11):
+        proj = np.diag((np.arange(16) < keep).astype(complex))
+        for u1, u2 in ((bundle.u_exact, bundle.u_rwa), (bundle.u_exact, bundle.u_magnus2)):
+            got = phase_aligned_distance(u1, u2, proj)
+            assert geometries.pop() == [[[keep, 0, 1]]]
+            want = phase_scan_distance(u1, u2, proj)
+            assert abs(got - want) <= 1e-12 * want + 1e-15, (keep, got, want)
+    phase_aligned_distance(bundle.u_exact, bundle.u_rwa, project_buffer(HilbertSpec(8), 2))
+    assert geometries.pop() == [[[6, 0, 1], [6, 2, 3]]]
 
 
 def test_error_report_truncation_independence():
@@ -466,7 +520,7 @@ def test_bundle_unitarity_and_norm_preservation(rng):
 def test_bundle_cross_parity_entries_are_zero(t):
     spec = HilbertSpec(12)
     bundle, _ = error_report(ModelParams(1.0, 0.9, 0.02), spec, t)
-    even, odd = _parity_blocks(np.arange(spec.dim))
+    even, odd = _block_layout(spec.fock_dim)[0]
     for u in (bundle.u_exact, bundle.u_rwa, bundle.u_magnus1, bundle.u_magnus2):
         assert not np.any(u[np.ix_(even, odd)]) and not np.any(u[np.ix_(odd, even)])
         assert np.any(u[np.ix_(even, even)]) and np.any(u[np.ix_(odd, odd)])
