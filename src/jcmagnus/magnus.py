@@ -153,7 +153,10 @@ def _ramp(x: float, t: float) -> float:
             phi = phi * u2 + coef
     else:
         phi = (u - math.sin(u)) / (u * u * u)
-    return x * t**3 * phi
+    try:
+        return x * t**3 * phi
+    except OverflowError:
+        raise ValueError(f"t = {t} is too large: t**3 overflows a float") from None
 
 
 def _phase_ramp(x: float, t: float) -> complex:

@@ -29,11 +29,12 @@ the PropagatorBundle fields.
 
 Errors are phase-aligned spectral-norm distances on the buffered window
 (phase_aligned_distances), because ladder truncation corrupts the top levels
-and two propagators may differ by a global phase.  One search (_search) runs
-the distances of many pairs in lockstep, one stacked full-SVD call per round,
-whose singular pairs bound the distance from below at every phase and so
-rule phases out in closed form; block_distances feeds it the block corners,
-phase_aligned_distances gathers the windows of full matrices into the same form.
+and two propagators may differ by a global phase.  One search, _search(x, y),
+takes the blocks of many pairs, shape (pairs, blocks, n, n), and runs their
+distances in lockstep, one stacked full-SVD call per round, whose singular
+pairs bound the distance from below at every phase and so rule phases out in
+closed form.  block_distances slices x and y from the block corners;
+phase_aligned_distances gathers full-matrix windows into them, per block shape.
 """
 
 from __future__ import annotations
@@ -433,44 +434,35 @@ def _phase_search(phi0: float, margin: float):
         phases = [float(g[np.argmin(np.max(np.hypot(d, r * np.sin(0.5 * (g - theta))), axis=0))]) for g in grids]
 
 
-def _search(stacks: dict[int, np.ndarray], geometry: list[np.ndarray], phi0: list[float]) -> list[float]:
-    """The phase-aligned distance of each pair: its _phase_search, all run in lockstep.
+def _search(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """The phase-aligned distance of each pair (x[p], y[p]): its _phase_search, all run in lockstep.
 
-    geometry[p] has one row (size, x slot, y slot) per block of pair p,
-    indexing stacks[size]; phi0[p] is its starting phase.  A round evaluates
-    every phase asked for in stacked calls, one per block size and
-    _STACK_BYTES; a pair's margin is 4 eps (||A||_F + ||B||_F) of its largest block.
+    x and y, shape (pairs, blocks, n, n), hold the blocks of each pair's two
+    matrices, A and B; the distance is min over phi of the largest block's
+    ||A_b - e^{i phi} B_b||.  A pair starts at phi0 = arg sum_b tr(B_b^dag A_b),
+    and its margin is 4 eps max_b (||A_b||_F + ||B_b||_F).  A round evaluates
+    every phase asked for in stacked calls over all blocks, _STACK_BYTES each.
     """
-    if not geometry:
-        return []
-    nbs = [len(geo) for geo in geometry]
-    norms = {size: np.linalg.norm(stack, axis=(1, 2)) for size, stack in stacks.items()}
-    searches = [
-        _phase_search(phi, 4.0 * np.finfo(float).eps * max(norms[s][x] + norms[s][y] for s, x, y in geo.tolist()))
-        for geo, phi in zip(geometry, phi0)
-    ]
-    distances: list[float] = [0.0] * len(geometry)
+    nb, n = x.shape[1], x.shape[-1]
+    norms = np.linalg.norm(x, axis=(2, 3)) + np.linalg.norm(y, axis=(2, 3))
+    margins = 4.0 * np.finfo(float).eps * norms.max(axis=1)
+    searches = [_phase_search(float(np.angle(np.vdot(b, a))), m) for a, b, m in zip(x, y, margins.tolist())]
+    per = max(1, _STACK_BYTES // (16 * n * n))  # blocks per call, one at least
+    distances: list[float] = [0.0] * len(x)
     pending = {p: next(search) for p, search in enumerate(searches)}
     while pending:
         asks = [(p, phi) for p, phases in pending.items() for phi in phases]
-        items = np.concatenate([geometry[p] for p, _ in asks])
-        phis = np.repeat([phi for _, phi in asks], [nbs[p] for p, _ in asks])
-        branches, minorants = [None] * len(items), [None] * len(items)
-        for size, stack in stacks.items():
-            sel = np.flatnonzero(items[:, 0] == size) if len(stacks) > 1 else np.arange(len(items))
-            per = max(1, _STACK_BYTES // stack[0].nbytes)  # one item at least
-            for chunk in (sel[lo : lo + per] for lo in range(0, len(sel), per)):
-                rows, z = items[chunk], np.exp(1j * phis[chunk])
-                for i, br, mn in zip(chunk.tolist(), *_branches_and_minorants(stack[rows[:, 1]], stack[rows[:, 2]], z)):
-                    branches[i], minorants[i] = br, mn
-        start = 0
+        xs, ys = (m[[p for p, _ in asks]].reshape(-1, n, n) for m in (x, y))
+        z = np.repeat(np.exp(1j * np.array([phi for _, phi in asks])), nb)
+        out = [_branches_and_minorants(*(m[k : k + per] for m in (xs, ys, z))) for k in range(0, len(xs), per)]
+        branches = sum((br for br, _ in out), [])
+        # an ask's blocks are consecutive: its branches in one list, its minorants along one axis
+        mins = np.concatenate([mn for _, mn in out]).reshape(len(asks), nb, 3, n).transpose(0, 2, 1, 3)
+        tops = [sum(branches[k : k + nb], []) for k in range(0, len(branches), nb)]
+        replies = zip(tops, mins.reshape(len(asks), 3, -1))
         for p, phases in list(pending.items()):
-            reply = []
-            for end in range(start + nbs[p], start + nbs[p] * len(phases) + 1, nbs[p]):
-                reply.append((sum(branches[start:end], []), np.concatenate(minorants[start:end], axis=1)))
-                start = end
             try:
-                pending[p] = searches[p].send(reply)
+                pending[p] = searches[p].send([next(replies) for _ in phases])
             except StopIteration as stop:
                 distances[p] = stop.value
                 del pending[p]
@@ -482,18 +474,13 @@ def block_distances(blocks: np.ndarray, pairs: list[tuple[int, int]], buffer: in
 
     blocks stacks propagators as parity blocks, shape (n, 2, N, N), as in
     PropagatorBundle.blocks; the window is the leading (N - buffer) corner of
-    each block, searched as it is.  arg tr(B^dag A) is summed over the window
-    in the full layout, as phase_aligned_distances sums it, so the distances
-    are those of the assembled matrices bit for bit.
+    each block, and the corners of every pair go to _search as they are, so
+    the distances are those of the assembled matrices bit for bit.
     """
-    n, _, fock_dim, _ = blocks.shape
+    fock_dim = blocks.shape[2]
     _check_buffer(fock_dim, buffer)
-    keep = fock_dim - buffer
-    window = _assemble(blocks, keep).reshape(n, -1)
-    phi0 = [float(np.angle(np.vdot(window[j], window[i]))) for i, j in pairs]
-    corners = {keep: blocks[:, :, :keep, :keep].reshape(2 * n, keep, keep)}
-    geometry = [np.array([(keep, 2 * i, 2 * j), (keep, 2 * i + 1, 2 * j + 1)]) for i, j in pairs]
-    return _search(corners, geometry, phi0)
+    corners = blocks[:, :, : fock_dim - buffer, : fock_dim - buffer]
+    return _search(corners[[i for i, _ in pairs]], corners[[j for _, j in pairs]])
 
 
 def phase_aligned_distances(
@@ -509,44 +496,43 @@ def phase_aligned_distances(
     pair, a projector of another size and an empty window raise ValueError.
 
     Each evaluation of f is one full SVD per block: the two largest singular
-    values with their first and second derivatives in phi, and a minorant of
-    f at all phases from every singular pair (_branches_and_minorants).  The
-    first is at phi0 = arg tr(B^dag A), A and B the projected arguments.  A
-    refinement steps to the nearest local minimum of the largest branch model
-    (_model_step): Newton at a smooth minimum, the crossing of two branches at
-    a kink (Lewis & Overton, Acta Numerica 5 (1996) 149).  Its bracket, first
-    the arc around phi0 that the minorants leave open, narrows with the sign
-    of the slope; a step leaving it or longer than half the step before last
-    is replaced by bisection.  It stops at a step of a few ulps of phi, keeps
-    the smallest value seen, so distances are exact to rounding, and closes
-    the arc around its minimum that its model steps reached.  The minorants
-    rule out in closed form every phase where f cannot beat the best value by
-    more than rounding.  Each arc left gets one evaluation at the lowest point
-    of the minorants' envelope (Shubert, SIAM J. Numer. Anal. 9 (1972) 379),
-    and a refinement runs from one that beats the best value, until no arc is left.
+    values with their first and second derivatives in phi, and a minorant of f
+    at all phases from every singular pair (_branches_and_minorants).  The
+    first is at phi0 = arg tr(B^dag A), A and B the projected arguments,
+    summed over their blocks.  A refinement steps to the nearest local minimum
+    of the largest branch model (_model_step): Newton at a smooth minimum, the
+    crossing of two branches at a kink (Lewis & Overton, Acta Numerica 5
+    (1996) 149).  Its bracket, first the arc around phi0 that the minorants
+    leave open, narrows with the sign of the slope; a step leaving it or
+    longer than half the step before last is replaced by bisection.  It stops
+    at a step of a few ulps of phi, keeps the smallest value seen, so
+    distances are exact to rounding, and closes the arc around its minimum
+    that its model steps reached.  The minorants rule out in closed form every
+    phase where f cannot beat the best value by more than rounding.  Each arc
+    left gets one evaluation at the lowest point of the minorants' envelope
+    (Shubert, SIAM J. Numer. Anal. 9 (1972) 379), and a refinement runs
+    from one that beats the best value, until no arc is left.
 
-    All pairs are searched in lockstep (_search), each round one stacked
-    LAPACK call over every pair and block (capped at _STACK_BYTES); numpy's
-    stacked calls are bit-identical per matrix to single ones, so a pair's
-    result does not depend on the other pairs.
+    Pairs are grouped by block shape, and each group is searched in lockstep
+    by one _search call, each round one stacked LAPACK call over every pair
+    and block of the group (capped at _STACK_BYTES); numpy's stacked calls are
+    bit-identical per matrix to single ones, so a pair's result does not
+    depend on the other pairs.
     """
-    members: dict[int, list[np.ndarray]] = {}  # the blocks compared, by size
-    geometry, phi0 = [], []
-    for pair in pairs:
+    groups: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}  # block shape -> (position, blocks)
+    for p, pair in enumerate(pairs):
         ms = _windowed(pair, projector)
-        phi0.append(float(np.angle(np.vdot(ms[1], ms[0]))))
-        parts = [ms]
+        parts = ms[:, None]  # one block: the whole window
         if len(ms[0]) % 2 == 0:
             blocks, couples = _gather(ms, len(ms[0]) // 2)
             if not np.any(couples):
-                parts = blocks.transpose(1, 0, 2, 3)  # per block, the pair's two
-        rows = []
-        for x, y in parts:
-            group = members.setdefault(len(x), [])
-            rows.append((len(x), len(group), len(group) + 1))
-            group += [x, y]
-        geometry.append(np.array(rows))
-    return _search({size: np.stack(group) for size, group in members.items()}, geometry, phi0)
+                parts = blocks
+        groups.setdefault(parts.shape, []).append((p, parts))
+    found: dict[int, float] = {}
+    for members in groups.values():
+        positions, parts = zip(*members)
+        found.update(zip(positions, _search(*np.stack(parts, axis=1))))
+    return [found[p] for p in range(len(pairs))]
 
 
 def phase_aligned_distance(

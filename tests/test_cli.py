@@ -193,6 +193,38 @@ def test_config_file_rejects_unknown_key(tmp_path):
         load_config_file(str(old))
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [("fock_dim = 12.0", "fock_dim"), ("g = abc", "g"), ("buffer = two", "buffer"), ("t_grid = 1,x", "t_grid")],
+)
+def test_config_file_value_errors_name_line_and_key(tmp_path, capsys, line, key):
+    # a value that does not parse names the file, the line and the key
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"# run\nomega0 = 0.8\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:3: invalid value for {key!r}")):
+        load_config_file(str(bad))
+    assert main(["report", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}:3: ") and repr(key) in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, t",
+    [
+        (["report", "--t", "1e103"], "1e+103"),
+        (["verify", "--t", "1e300"], "1e+300"),
+        (["sweep", "--t-grid", "1,1e300"], "1e+300"),
+    ],
+    ids=["report", "verify", "sweep"],
+)
+def test_overflowing_t_is_an_error_line(tmp_path, capsys, argv, t):
+    # a t whose cube overflows a float exits 2 with one error line naming t,
+    # not a traceback
+    assert main([*argv, *FAST, "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: t = {t} is too large: t**3 overflows a float"]
+
+
 def test_grid_flag_parsing(tmp_path):
     out = tmp_path / "t.csv"
     assert main(
@@ -410,6 +442,28 @@ def test_row_lapack_calls(monkeypatch):
     assert len(calls["eigh"]) == 1
     assert 0 < len(calls["svd"]) <= 8
     assert all(calls["svd"])
+
+
+@pytest.mark.parametrize("fock", [48, 96])
+def test_report_svd_operands_stay_under_the_stack_cap(fock, monkeypatch, capsys):
+    # the phase search chunks its stacked SVD operands by block: none holds
+    # more blocks than fit in _STACK_BYTES, or more than one where a single
+    # block is larger
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    cfg = RunConfig(fock_dim=fock)
+    assert cli.cmd_report(cfg) == 0
+    capsys.readouterr()
+    keep = fock - cfg.buffer
+    cap = max(1, propagator._STACK_BYTES // (16 * keep * keep))
+    assert shapes and all(shape[1:] == (keep, keep) for shape in shapes)
+    assert max(shape[0] for shape in shapes) <= cap
 
 
 def test_row_and_report_share_the_full_matrix_distances(capsys):

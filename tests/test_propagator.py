@@ -478,11 +478,11 @@ def test_phase_alignment_odd_window_is_one_block(monkeypatch):
     # a leading window of odd length cuts a Fock level in half, so even a
     # parity-conserving library pair is searched as one block there, and the
     # distance is still the scan oracle's
-    geometries = []
+    shapes = []
 
-    def record(stacks, geometry, phi0):
-        geometries.append([geo.tolist() for geo in geometry])
-        return real_search(stacks, geometry, phi0)
+    def record(x, y):
+        shapes.append((x.shape, y.shape))
+        return real_search(x, y)
 
     real_search = propagator._search
     monkeypatch.setattr(propagator, "_search", record)
@@ -491,11 +491,20 @@ def test_phase_alignment_odd_window_is_one_block(monkeypatch):
         proj = np.diag((np.arange(16) < keep).astype(complex))
         for u1, u2 in ((bundle.u_exact, bundle.u_rwa), (bundle.u_exact, bundle.u_magnus2)):
             got = phase_aligned_distance(u1, u2, proj)
-            assert geometries.pop() == [[[keep, 0, 1]]]
+            assert shapes.pop() == ((1, 1, keep, keep),) * 2
             want = phase_scan_distance(u1, u2, proj)
             assert abs(got - want) <= 1e-12 * want + 1e-15, (keep, got, want)
     phase_aligned_distance(bundle.u_exact, bundle.u_rwa, project_buffer(HilbertSpec(8), 2))
-    assert geometries.pop() == [[[6, 0, 1], [6, 2, 3]]]
+    assert shapes.pop() == ((1, 2, 6, 6),) * 2
+
+
+def test_distances_of_no_pairs_are_empty():
+    # an empty batch searches nothing, from the block corners and from full
+    # matrices alike
+    bundle = propagator_bundle(PARAMS, HilbertSpec(8), 1.0)
+    assert block_distances(bundle.blocks, []) == []
+    assert phase_aligned_distances([]) == []
+    assert phase_aligned_distances([], project_buffer(HilbertSpec(8), 2)) == []
 
 
 def test_error_report_truncation_independence():

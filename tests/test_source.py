@@ -1,9 +1,11 @@
 """Source-level checks on the package itself."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "jcmagnus"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "jcmagnus"
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
@@ -43,3 +45,18 @@ def test_every_private_name_is_used_in_the_package():
             if not used:
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def test_readme_private_names_exist():
+    # every backticked private name in the README, such as `_gather(...)`,
+    # is defined somewhere in src/jcmagnus, so the prose cannot outlive a rename
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`(_[A-Za-z]\w*)", readme))
+    defined = {
+        node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else node.id
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert named and sorted(named - defined) == []
