@@ -210,9 +210,9 @@ def _zeta_closed(params: ModelParams, t: float) -> complex:
 
 
 def integrals_closed(params: ModelParams, t: float) -> IntegralSet:
-    """Closed-form I1..I6 at time t (t >= 0); i3 = i4 = 0 by convention."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    """Closed-form I1..I6 at time t (t >= 0 and finite); i3 = i4 = 0 by convention."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be non-negative and finite, got {t}")
     i1 = -2j * _ramp(params.delta, t)
     i6 = -2j * _ramp(params.sigma, t)
     zeta = _zeta_closed(params, t)

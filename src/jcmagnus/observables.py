@@ -23,7 +23,7 @@ from .hilbert import (
 )
 from .jc_model import ModelParams
 from .magnus import _ramp, integrals_closed, omega2_closed, shift_rates, squeeze_params
-from .propagator import _exponentials, unitarity_defect
+from .propagator import propagator_bundle, unitarity_defect
 
 __all__ = [
     "SqueezingReport",
@@ -243,7 +243,8 @@ def bs_phase_probe(params: ModelParams, spec: HilbertSpec, t: float) -> tuple[fl
     annihilates |0, g>, so the whole phase difference is the counter-rotating
     second-order shift.  predicted = bs_rate(n=0, ground) * t = g^2 t / sigma.
     Meaningful while g t / pi stays below about one half.  Both propagators
-    come from one stacked exponential; |0, g> is position 0 of parity block 0.
+    are read from the blocks of one propagator_bundle; |0, g> is position 0 of
+    parity block 0.
     """
-    blocks = _exponentials(spec, [(params, t, "exact"), (params, t, "rwa")])
+    blocks = propagator_bundle(params, spec, t).blocks
     return _bs_phase(blocks[0, 0, 0, 0], blocks[1, 0, 0, 0], params, t)

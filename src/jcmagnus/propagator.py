@@ -1,6 +1,6 @@
 """Propagators for the rotated Jaynes-Cummings dynamics and their comparison.
 
-Four unitaries are produced for a given (params, t):
+Every propagator comes from propagator_bundle, four for a given (params, t):
 
   * u_exact    -- the exact propagator of h_rotated,
   * u_rwa      -- the exact propagator of h_rwa,
@@ -18,14 +18,14 @@ two.  The 2N states (N = fock_dim) split into two parity blocks of N states,
 and inside either block the state of Fock level n sits at position n.  Only
 _block_layout knows which basis index sits where: _gather splits full
 matrices on Fock levels 0 .. L-1 into their blocks and says whether they
-couple them, and _assemble puts blocks back.  A propagator is held as its two
-blocks, an (2, N, N) array, so the buffered window of project_buffer (Fock
-levels 0 .. N-1-buffer) is the leading (N - buffer) corner of each block.
-Generators are gathered into their blocks (one that couples the blocks
-raises), all blocks are exponentiated in stacked eigh calls, and D(t) scales
-the rows of each block.  Full 2N x 2N matrices, with cross-parity entries
-zero, are assembled only where they are read: u_exact, u_rwa, u_magnus and
-the PropagatorBundle fields.
+couple them, and PropagatorBundle puts blocks back.  A propagator is held as
+its two blocks, an (2, N, N) array, so the buffered window of project_buffer
+(Fock levels 0 .. N-1-buffer) is the leading (N - buffer) corner of each
+block.  The bundle gathers its four generators into their blocks (one that
+couples the blocks raises), exponentiates all blocks in stacked eigh calls,
+and lets D(t) scale the rows of the two frame kinds.  Full 2N x 2N matrices,
+with cross-parity entries zero, are assembled only where they are read: the
+PropagatorBundle fields, which u_exact, u_rwa and u_magnus return.
 
 Errors are phase-aligned spectral-norm distances on the buffered window
 (phase_aligned_distances), because ladder truncation corrupts the top levels
@@ -74,10 +74,9 @@ _ULPS = 4
 # Cap on each stacked operand of the distances' LAPACK calls: small blocks
 # stack fully, blocks above it go one per call.
 _STACK_BYTES = 128 * 1024
-# The propagators of a bundle, in PropagatorBundle order, and the distances
-# error_report tabulates: name -> the positions of the two compared (the
-# first three are the errors against u_exact).
-_KINDS = ("exact", "rwa", "magnus1", "magnus2")
+# The distances error_report tabulates: name -> the positions in
+# PropagatorBundle.blocks of the two compared (the first three are the errors
+# against u_exact).
 _DISTANCE_PAIRS = {
     "err_rwa": (0, 1),
     "err_magnus1": (0, 2),
@@ -117,16 +116,9 @@ def _gather(mats, levels: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take(window, gather, axis=1), np.any(window[:, cross], axis=1)
 
 
-def _assemble(blocks: np.ndarray, levels: int) -> np.ndarray:
-    """The full matrices on Fock levels 0 .. levels-1 of a stack of (2, N, N) block arrays."""
-    full = np.zeros((len(blocks), 4 * levels * levels), dtype=complex)
-    full[:, _block_layout(levels)[1]] = blocks[:, :, :levels, :levels]
-    return full.reshape(len(blocks), 2 * levels, 2 * levels)
-
-
 @dataclass(frozen=True)
 class PropagatorBundle:
-    """The four propagators at one parameter point.
+    """The four propagators at one parameter point, as propagator_bundle builds them.
 
     blocks holds u_exact, u_rwa, u_magnus1, u_magnus2 as parity blocks, shape
     (4, 2, N, N); |0, g> is position 0 of block 0.  The u_* attributes are
@@ -139,7 +131,11 @@ class PropagatorBundle:
 
     @cached_property
     def _matrices(self) -> np.ndarray:
-        return _assemble(self.blocks, self.blocks.shape[2])
+        """The four full matrices: _block_layout's gather map puts each block entry back."""
+        n = self.blocks.shape[2]
+        full = np.zeros((4, 4 * n * n), dtype=complex)
+        full[:, _block_layout(n)[1]] = self.blocks
+        return full.reshape(4, 2 * n, 2 * n)
 
     u_exact = property(lambda self: self._matrices[0])
     u_rwa = property(lambda self: self._matrices[1])
@@ -181,65 +177,29 @@ def _expm_blockwise(gens: list[np.ndarray]) -> np.ndarray:
     return blocks
 
 
-def _exponentials(spec: HilbertSpec, requests: list[tuple[ModelParams, float, str]]) -> np.ndarray:
-    """Each (params, t, kind) request's propagator as parity blocks, shape (len(requests), 2, N, N).
-
-    kind is "exact", "rwa", "magnus1" or "magnus2", all exponentiated in one
-    _expm_blockwise call.  The frame kinds are D(t) exp(-i t (H(0) + F)) with
-    H = h_rotated or h_rwa, the identity at t = 0 or g = 0; D(t) scales row n
-    of block b by its entry at _block_layout's index[b, n].  Omega_1 is
-    shared by both Magnus orders.
-    """
-    exps = np.empty((len(requests), 2, spec.fock_dim, spec.fock_dim), dtype=complex)
-    frames: dict[int, np.ndarray] = {}  # request position -> the diagonal of D(t)
-    gens, computed = [], []  # the generators to exponentiate and their requests
-    omega1: dict[tuple[ModelParams, float], np.ndarray] = {}
-    for i, (params, t, kind) in enumerate(requests):
-        if t < 0:
-            raise ValueError(f"t must be non-negative, got {t}")
-        if kind in ("exact", "rwa"):
-            if t == 0.0 or params.g == 0.0:
-                exps[i] = np.eye(spec.fock_dim)
-                continue
-            phases = frame_phases(params, spec)
-            h0 = h_rwa(params, spec, 0.0) if kind == "rwa" else h_rotated(params, spec, 0.0)
-            gens.append(-1j * t * (h0 + np.diag(phases)))
-            frames[i] = np.exp(1j * t * phases)
-        else:
-            if (params, t) not in omega1:
-                omega1[params, t] = omega1_closed(params, spec, t).omega1
-            gen = omega1[params, t]
-            gens.append(gen + omega2_closed(params, spec, t).omega2 if kind == "magnus2" else gen)
-        computed.append(i)
-    if gens:
-        exps[computed] = _expm_blockwise(gens)
-    index = _block_layout(spec.fock_dim)[0]
-    for i, frame in frames.items():
-        # a new product, frame on the left: scaling in place rounds differently
-        exps[i] = frame[index][:, :, None] * exps[i]
-    return exps
-
-
 def u_exact(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
-    """Exact propagator of h_rotated over [0, t]."""
-    return _assemble(_exponentials(spec, [(params, t, "exact")]), spec.fock_dim)[0]
+    """Exact propagator of h_rotated over [0, t]: the u_exact of propagator_bundle."""
+    return propagator_bundle(params, spec, t).u_exact
 
 
 def u_rwa(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
-    """Exact propagator of the RWA Hamiltonian h_rwa over [0, t]."""
-    return _assemble(_exponentials(spec, [(params, t, "rwa")]), spec.fock_dim)[0]
+    """Exact propagator of the RWA Hamiltonian h_rwa over [0, t]: the u_rwa of propagator_bundle."""
+    return propagator_bundle(params, spec, t).u_rwa
 
 
 def u_magnus(params: ModelParams, spec: HilbertSpec, t: float, order: int) -> np.ndarray:
-    """exp(Omega_1) or exp(Omega_1 + Omega_2); a single exponential of the sum."""
+    """exp(Omega_1) or exp(Omega_1 + Omega_2), one exponential of the sum: u_magnus<order> of propagator_bundle."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return _assemble(_exponentials(spec, [(params, t, f"magnus{order}")]), spec.fock_dim)[0]
+    bundle = propagator_bundle(params, spec, t)
+    return bundle.u_magnus1 if order == 1 else bundle.u_magnus2
 
 
 def _windowed(pair: tuple[np.ndarray, np.ndarray], projector: np.ndarray | None) -> np.ndarray:
     """The two matrices of pair on the leading window that projector keeps, stacked; malformed input raises."""
     x, y = (np.asarray(u, dtype=complex) for u in pair)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("distances need finite matrices, got a nan or inf entry")
     if not all(m.ndim == 2 and m.shape[0] == m.shape[1] for m in (x, y)):
         raise ValueError(f"distances need square matrices, got shapes {x.shape} and {y.shape}")
     if x.shape != y.shape:
@@ -492,8 +452,9 @@ def phase_aligned_distances(
     project_buffer does; the norm is taken on the window directly.  When the
     window has an even length and neither matrix of a pair couples the two
     parity blocks on it, f is the larger of the two block norms (_gather);
-    otherwise the pair is searched as one block.  A non-square or mismatched
-    pair, a projector of another size and an empty window raise ValueError.
+    otherwise the pair is searched as one block.  A non-square, mismatched or
+    non-finite pair, a projector of another size and an empty window raise
+    ValueError.
 
     Each evaluation of f is one full SVD per block: the two largest singular
     values with their first and second derivatives in phi, and a minorant of f
@@ -547,8 +508,29 @@ def phase_aligned_distance(
 
 
 def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> PropagatorBundle:
-    """The four propagators at one parameter point, from one stacked exponential."""
-    return PropagatorBundle(_exponentials(spec, [(params, t, kind) for kind in _KINDS]), params, t)
+    """The four propagators at one parameter point; the only code that builds propagators.
+
+    The frame kinds are D(t) exp(-i t (H(0) + F)) with H = h_rotated or
+    h_rwa, the identity at t = 0 or g = 0; D(t) scales row n of block b by
+    its entry at _block_layout's index[b, n].  Omega_1 is shared by both
+    Magnus orders, and all blocks go in one _expm_blockwise call.  A
+    negative or non-finite t raises ValueError.
+    """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be non-negative and finite, got {t}")
+    omega1 = omega1_closed(params, spec, t).omega1
+    gens = [omega1, omega1 + omega2_closed(params, spec, t).omega2]
+    n = spec.fock_dim
+    if t == 0.0 or params.g == 0.0:
+        blocks = np.concatenate([np.broadcast_to(np.eye(n), (2, 2, n, n)), _expm_blockwise(gens)])
+    else:
+        phases = frame_phases(params, spec)
+        frame_gens = [-1j * t * (h(params, spec, 0.0) + np.diag(phases)) for h in (h_rotated, h_rwa)]
+        blocks = _expm_blockwise(frame_gens + gens)
+        frame = np.exp(1j * t * phases)[_block_layout(n)[0]]
+        # a new product, frame on the left: scaling in place rounds differently
+        blocks[:2] = frame[:, :, None] * blocks[:2]
+    return PropagatorBundle(blocks, params, t)
 
 
 def error_report(

@@ -386,6 +386,62 @@ def test_verify_resonance_limit_small_t(t, capsys):
     assert [line.split()[1] for line in lines if line.startswith("RESONANCE_LIMIT ")] == ["PASS"]
 
 
+def _resonance_status(capsys, argv):
+    main(["verify", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [line for line in lines if line.startswith("RESONANCE_LIMIT ")]
+    return line.split()[1]
+
+
+@pytest.mark.parametrize("omega0", ["0.8", "0.9", "1.0", "1.1"])
+def test_verify_resonance_limit_passes_where_the_limit_vanishes(omega0, capsys):
+    # the limit vanishes where tan(omega t) = omega t, at omega t = 4.4934;
+    # the residual's scale adds zeta's first-order change per unit relative
+    # detuning to |limit|, so the probe's own offset stays small there
+    for t in np.round(np.arange(4.30, 4.71, 0.05), 2):
+        assert _resonance_status(capsys, ["--omega0", omega0, "--t", str(t)]) == "PASS", t
+
+
+@pytest.mark.parametrize("t", ["5", "10"])
+def test_verify_resonance_limit_passes_at_the_capped_oracle_time(t, capsys):
+    # t_oracle is capped at 4 pi / sigma = 4.488 here, next to the zero of the limit
+    assert _resonance_status(capsys, ["--omega0", "1.8", "--g", "0.02", "--t", t]) == "PASS"
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda params, t: magnus.zeta_resonance_limit(params, t) * (1.0 + 1e-4),
+        # the truncated expression the README warns about: the first term only
+        lambda params, t: (1.0 - np.exp(2j * params.omega * t)) / (params.omega * params.sigma),
+    ],
+    ids=["relative_1e-4", "first_term_only"],
+)
+def test_verify_resonance_limit_fails_a_wrong_limit(wrong, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "zeta_resonance_limit", wrong)
+    assert _resonance_status(capsys, []) == "FAIL"
+
+
+def test_report_and_verify_eigh_calls(monkeypatch, capsys):
+    # a report exponentiates its one bundle in one stacked eigh call; a
+    # default verify adds a bundle per ERROR_SCALING coupling and the two
+    # truncated-Fock squeezing readouts
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert cli.cmd_report(RunConfig()) == 0
+    assert calls == [(8, 12, 12)]
+    calls.clear()
+    assert cli.cmd_verify(RunConfig()) == 0
+    capsys.readouterr()
+    assert len(calls) <= 6
+
+
 def test_verify_large_quad_steps():
     # the chirp-z inner sums keep a 16384-panel verify cheap, and it passes
     assert main(["verify", "--quad-steps", "16384"]) == 0

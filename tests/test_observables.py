@@ -215,8 +215,9 @@ def test_bs_phase_probe_quadratic_scaling():
 
 
 def test_bs_phase_probe_one_eigh_call(monkeypatch):
-    # both propagators come from one stacked exponential, and the phases are
-    # the entries of u_exact and u_rwa at |0, g>
+    # both propagators are read from one propagator_bundle, whose four
+    # generators go in one stacked eigh call, and the phases are the entries
+    # of u_exact and u_rwa at |0, g>
     calls = []
     real_eigh = np.linalg.eigh
 
@@ -227,7 +228,7 @@ def test_bs_phase_probe_one_eigh_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     p, spec, t = ModelParams(1.0, 0.9, 0.02), HilbertSpec(12), 20.0
     measured, _ = bs_phase_probe(p, spec, t)
-    assert calls == [(4, 12, 12)]
+    assert calls == [(8, 12, 12)]
     idx = spec.index(0, ATOM_GROUND)
     monkeypatch.undo()
     want = np.angle(u_exact(p, spec, t)[idx, idx]) - np.angle(u_rwa(p, spec, t)[idx, idx])

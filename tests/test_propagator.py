@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from jcmagnus import propagator
 from jcmagnus.cli import _block_norms
 from jcmagnus.hilbert import HilbertSpec, annihilation, creation, spectral_norm, tensor
 from jcmagnus.jc_model import ModelParams, frame_phases, h_rwa
+from jcmagnus.magnus import integrals_closed
 from jcmagnus.propagator import (
     _block_layout,
     _expm_blockwise,
@@ -86,6 +88,34 @@ def test_bundle_matches_single_propagators(fock):
         assert np.array_equal(bundle.u_magnus2, u_magnus(params, spec, t, 2))
     with pytest.raises(ValueError, match="non-negative"):
         propagator_bundle(PARAMS, spec, -1.0)
+
+
+def _with_entry(value: float) -> np.ndarray:
+    u = np.eye(12, dtype=complex)
+    u[3, 5] = value
+    return u
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda v: propagator_bundle(PARAMS, HilbertSpec(6), v), "^t must be non-negative and finite"),
+        (lambda v: u_exact(PARAMS, HilbertSpec(6), v), "^t must be non-negative and finite"),
+        (lambda v: u_rwa(PARAMS, HilbertSpec(6), v), "^t must be non-negative and finite"),
+        (lambda v: u_magnus(PARAMS, HilbertSpec(6), v, 2), "^t must be non-negative and finite"),
+        (lambda v: error_report(PARAMS, HilbertSpec(6), v), "^t must be non-negative and finite"),
+        (lambda v: integrals_closed(PARAMS, v), "^t must be non-negative and finite"),
+        (lambda v: phase_aligned_distance(_with_entry(v), np.eye(12)), "nan or inf"),
+        (lambda v: phase_aligned_distances([(np.eye(12), _with_entry(v))], np.diag(np.arange(12) < 8)), "nan or inf"),
+    ],
+    ids=["bundle", "u_exact", "u_rwa", "u_magnus", "error_report", "integrals_closed", "distance", "distances"],
+)
+def test_non_finite_inputs_name_their_cause(call, match, value):
+    # a nan or inf t, or matrix entry, raises a ValueError that names it,
+    # before any computation can fail on it less clearly
+    with pytest.raises(ValueError, match=match):
+        call(value)
 
 
 def test_expm_blockwise_rejects_bad_generators(rng):

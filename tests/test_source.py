@@ -60,3 +60,27 @@ def test_readme_private_names_exist():
         or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     }
     assert named and sorted(named - defined) == []
+
+
+def test_cross_module_private_imports():
+    # every private name one module imports from another, as (importer,
+    # source, name); a new one means a visible edit here
+    imported = {
+        (path.stem, (node.module or "").rpartition(".")[2], alias.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("jcmagnus"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    }
+    assert imported == {
+        ("cli", "magnus", "_omega2_from_integrals"),
+        ("cli", "observables", "_bs_phase"),
+        ("cli", "observables", "_gaussian_squeezing"),
+        ("cli", "propagator", "_DISTANCE_PAIRS"),
+        ("cli", "propagator", "_gather"),
+        ("magnus", "jc_model", "_interaction_blocks"),
+        ("magnus", "jc_model", "_second_order_operators"),
+        ("observables", "magnus", "_ramp"),
+        ("propagator", "hilbert", "_hermitian_norm"),
+    }
