@@ -32,7 +32,6 @@ from .jc_model import (
 )
 from .magnus import (
     IntegralSet,
-    MagnusTerms,
     commutator_table,
     convergence_margin,
     integrals_closed,
@@ -51,7 +50,7 @@ from .observables import (
     basis_state,
     bs_phase_probe,
     evolve,
-    gaussian_squeeze_extrema,
+    gaussian_squeezing,
     populations,
     quadrature_variance,
     squeezing_report,
@@ -76,7 +75,6 @@ __all__ = [
     "ATOM_GROUND",
     "HilbertSpec",
     "IntegralSet",
-    "MagnusTerms",
     "ModelParams",
     "PropagatorBundle",
     "SqueezingReport",
@@ -93,7 +91,7 @@ __all__ = [
     "expm_antiherm",
     "frame_atom",
     "frame_field",
-    "gaussian_squeeze_extrema",
+    "gaussian_squeezing",
     "h_full",
     "h_rotated",
     "h_rwa",

@@ -39,13 +39,7 @@ from .magnus import (
     shift_rates,
     zeta_resonance_limit,
 )
-from .observables import (
-    SqueezingReport,
-    _bs_phase,
-    _gaussian_squeezing,
-    gaussian_squeeze_extrema,
-    squeezing_report,
-)
+from .observables import SqueezingReport, _bs_phase, gaussian_squeezing, squeezing_report
 from .propagator import (
     _DISTANCE_PAIRS,
     _gather,
@@ -55,7 +49,18 @@ from .propagator import (
     unitarity_defect,
 )
 
-__all__ = ["RunConfig", "SweepRow", "cmd_report", "cmd_sweep", "cmd_verify", "main"]
+__all__ = [
+    "RunConfig",
+    "SWEEP_FIELDS",
+    "SweepRow",
+    "build_config",
+    "cmd_report",
+    "cmd_sweep",
+    "cmd_verify",
+    "compute_row",
+    "load_config_file",
+    "main",
+]
 
 _BCH_SEED = 20260809
 
@@ -141,7 +146,7 @@ def _evaluate(
     pairs = [_DISTANCE_PAIRS[name] for name in distances]
     table = dict(zip(distances, block_distances(blocks, pairs, cfg.buffer)))
     zeta = integrals_closed(params, t).zeta
-    sq = _gaussian_squeezing(params, t, atom="e")
+    sq = gaussian_squeezing(params, t, atom="e")
     # <0, g| U |0, g> is entry (0, 0) of the even parity block
     measured, predicted = _bs_phase(blocks[0, 0, 0, 0], blocks[1, 0, 0, 0], params, t)
     margin = convergence_margin(params, t)
@@ -218,7 +223,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     gens = [
         om
         for t_probe in ((cfg.t, 0.5 * cfg.t) if cfg.t > 0 else (0.0,))
-        for om in (omega1_closed(params, spec, t_probe).omega1, omega2_closed(params, spec, t_probe).omega2)
+        for om in (omega1_closed(params, spec, t_probe), omega2_closed(params, spec, t_probe))
     ]
     norms = _block_norms(gens, cfg.fock_dim)
     defects = _block_norms([om + adjoint(om) for om in gens], cfg.fock_dim)
@@ -276,13 +281,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     record("INTEGRALS_CLOSED_VS_QUADRATURE", resid <= 1e-8, resid)
 
     resid = spectral_norm(
-        omega1_closed(params, spec, t_oracle).omega1
-        - omega1_quadrature(params, spec, t_oracle, cfg.quad_steps).omega1
+        omega1_closed(params, spec, t_oracle) - omega1_quadrature(params, spec, t_oracle, cfg.quad_steps)
     )
     record("OMEGA1_CLOSED_VS_QUADRATURE", resid <= 1e-9, resid)
 
     # the quadrature Omega_2 from the integrals just checked, (g^2/2) sum I_k C_k
-    diff = omega2_closed(params, spec, t_oracle).omega2 - _omega2_from_integrals(quad, spec)
+    diff = omega2_closed(params, spec, t_oracle) - _omega2_from_integrals(quad, spec)
     resid = float(_block_norms([diff], cfg.fock_dim - buffer)[0])
     record("OMEGA2_CLOSED_VS_QUADRATURE", resid <= 1e-8, resid)
 
@@ -336,9 +340,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         product_resid = 0.0
         for atom in ("e", "g"):
             rep = squeezing_report(params, sq_spec, cfg.t, atom)
-            var_ref, theta_ref = gaussian_squeeze_extrema(params, cfg.t, atom)
-            worst_var = max(worst_var, abs(rep.var_min - var_ref))
-            dtheta = abs(rep.theta_min - theta_ref) % math.pi
+            ref = gaussian_squeezing(params, cfg.t, atom)
+            worst_var = max(worst_var, abs(rep.var_min - ref.var_min))
+            dtheta = abs(rep.theta_min - ref.theta_min) % math.pi
             worst_theta = max(worst_theta, min(dtheta, math.pi - dtheta))
             product_resid = max(product_resid, max(0.0, 1.0 / 16.0 - rep.product_check))
         record("SQUEEZING_VARIANCE", worst_var <= 1e-8 and worst_theta <= 1e-3, worst_var)

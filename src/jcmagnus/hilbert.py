@@ -35,23 +35,22 @@ ATOM_GROUND = 1
 class HilbertSpec:
     """Truncated field (x) atom space: Fock levels |0..N-1> times a two-level atom.
 
-    fock_dim must be at least 4 so that two-photon (squeezing) matrix elements
-    survive truncation.  atom_dim is fixed at 2.
+    fock_dim must be an integer of at least 4 so that two-photon (squeezing)
+    matrix elements survive truncation.
     """
 
     fock_dim: int
-    atom_dim: int = 2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.fock_dim, (int, np.integer)):
+            raise ValueError(f"fock_dim must be an integer, got {self.fock_dim!r}")
         if self.fock_dim < 4:
             raise ValueError(f"fock_dim must be >= 4, got {self.fock_dim}")
-        if self.atom_dim != 2:
-            raise ValueError(f"atom_dim is fixed at 2, got {self.atom_dim}")
 
     @property
     def dim(self) -> int:
         """Total dimension 2 * fock_dim."""
-        return self.fock_dim * self.atom_dim
+        return self.fock_dim * 2
 
     def index(self, n: int, atom: int) -> int:
         """Basis index of |n, atom> under the field-first convention."""
@@ -59,7 +58,7 @@ class HilbertSpec:
             raise ValueError(f"Fock level {n} outside 0..{self.fock_dim - 1}")
         if atom not in (ATOM_EXCITED, ATOM_GROUND):
             raise ValueError(f"atom index must be 0 (excited) or 1 (ground), got {atom}")
-        return n * self.atom_dim + atom
+        return n * 2 + atom
 
 
 def annihilation(spec: HilbertSpec) -> np.ndarray:

@@ -72,7 +72,6 @@ from .jc_model import ModelParams, _interaction_blocks, _second_order_operators
 
 __all__ = [
     "IntegralSet",
-    "MagnusTerms",
     "SERIES_THRESHOLD",
     "commutator_table",
     "convergence_margin",
@@ -83,6 +82,7 @@ __all__ = [
     "omega2_closed",
     "omega2_quadrature",
     "shift_rates",
+    "simpson_weights",
     "squeeze_params",
     "zeta_resonance_limit",
 ]
@@ -121,19 +121,12 @@ class IntegralSet:
     i5: complex
     i6: complex
     zeta: complex
-    t: float
     params: ModelParams
 
 
-@dataclass(frozen=True)
-class MagnusTerms:
-    """Anti-Hermitian Magnus generators with their provenance."""
-
-    omega1: np.ndarray | None
-    omega2: np.ndarray | None
-    t: float
-    params: ModelParams
-    provenance: str  # "closed_form" | "quadrature"
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be non-negative and finite, got {t}")
 
 
 def _ramp(x: float, t: float) -> float:
@@ -175,6 +168,7 @@ def zeta_resonance_limit(params: ModelParams, t: float) -> complex:
     as 2i e^{iu} (u cos u - sin u) / (omega sigma), without the cancelling
     O(t) terms; below |u| = 1 u cos u - sin u is summed from its own series.
     """
+    _check_time(t)
     u = params.omega * t
     cross = np.polyval(_CROSS_SERIES, u * u) * u**3 if abs(u) < 1.0 else u * math.cos(u) - math.sin(u)
     return complex(2j * np.exp(1j * u) * cross / (params.omega * params.sigma))
@@ -211,8 +205,7 @@ def _zeta_closed(params: ModelParams, t: float) -> complex:
 
 def integrals_closed(params: ModelParams, t: float) -> IntegralSet:
     """Closed-form I1..I6 at time t (t >= 0 and finite); i3 = i4 = 0 by convention."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be non-negative and finite, got {t}")
+    _check_time(t)
     i1 = -2j * _ramp(params.delta, t)
     i6 = -2j * _ramp(params.sigma, t)
     zeta = _zeta_closed(params, t)
@@ -224,7 +217,6 @@ def integrals_closed(params: ModelParams, t: float) -> IntegralSet:
         i5=complex(np.conj(zeta)),
         i6=complex(i6),
         zeta=complex(zeta),
-        t=t,
         params=params,
     )
 
@@ -291,8 +283,7 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     i3 and i4 are evaluated and stored even though their block commutators
     vanish exactly, so only i1, i2, i5, i6 change the second-order generator.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    _check_time(t)
     _check_quad_steps(n)
     s_nodes, wout, e_d, e_s = _inner_sums(params, t, n)
     # outer phases e^{i delta t1}, e^{i sigma t1}; e^{-i x t1} is their conjugate
@@ -315,34 +306,34 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     i5 = outer(p_d.conj() * e_s.conj() - p_s.conj() * e_d.conj())
     # I6: -e^{i s (t1 - t2)} + e^{-i s (t1 - t2)}
     i6 = outer(-p_s * e_s.conj() + p_s.conj() * e_s)
-    return IntegralSet(i1=i1, i2=i2, i3=i3, i4=i4, i5=i5, i6=i6, zeta=i2, t=t, params=params)
+    return IntegralSet(i1=i1, i2=i2, i3=i3, i4=i4, i5=i5, i6=i6, zeta=i2, params=params)
 
 
-def omega1_closed(params: ModelParams, spec: HilbertSpec, t: float) -> MagnusTerms:
+def omega1_closed(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """First-order generator, anti-Hermitian by construction."""
+    _check_time(t)
     ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
     cd = _phase_ramp(params.delta, t)
     cs = _phase_ramp(params.sigma, t)
-    om1 = 1j * params.g * (cd * ad_sm + np.conj(cd) * a_sp + cs * ad_sp + np.conj(cs) * a_sm)
-    return MagnusTerms(omega1=om1, omega2=None, t=t, params=params, provenance="closed_form")
+    return 1j * params.g * (cd * ad_sm + np.conj(cd) * a_sp + cs * ad_sp + np.conj(cs) * a_sm)
 
 
-def omega2_closed(params: ModelParams, spec: HilbertSpec, t: float) -> MagnusTerms:
+def omega2_closed(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Second-order generator: Stark and Bloch-Siegert shifts plus squeezing."""
+    _check_time(t)
     n_sz, pe, pg, a2_sz, ad2_sz = _second_order_operators(spec)
     g2 = params.g * params.g
     fd = _ramp(params.delta, t)
     fs = _ramp(params.sigma, t)
     zeta = _zeta_closed(params, t)
-    om2 = (
+    return (
         1j * g2 * fd * (n_sz + pe)
         + 1j * g2 * fs * (-n_sz + pg)
         + 0.5 * g2 * (np.conj(zeta) * a2_sz - zeta * ad2_sz)
     )
-    return MagnusTerms(omega1=None, omega2=om2, t=t, params=params, provenance="closed_form")
 
 
-def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> MagnusTerms:
+def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> np.ndarray:
     """Oracle: -i times the Simpson integral of h_rotated over [0, t].
 
     h_rotated is g times a fixed combination of the four coupling blocks
@@ -350,8 +341,7 @@ def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int =
     blocks weighted by the two Simpson sums sum_k w_k e^{i x s_k}
     (conjugated for the negative phases, the weights being real).
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    _check_time(t)
     _check_quad_steps(n)
     ts = np.linspace(0.0, t, n + 1)
     w = simpson_weights(n, t)
@@ -359,8 +349,7 @@ def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int =
     ss = complex(np.sum(w * np.exp(1j * params.sigma * ts)))
     ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
     # -i g (i S_d ad_sm - i S_d^* a_sp + i S_s ad_sp - i S_s^* a_sm)
-    om1 = params.g * (sd * ad_sm - np.conj(sd) * a_sp + ss * ad_sp - np.conj(ss) * a_sm)
-    return MagnusTerms(omega1=om1, omega2=None, t=t, params=params, provenance="quadrature")
+    return params.g * (sd * ad_sm - np.conj(sd) * a_sp + ss * ad_sp - np.conj(ss) * a_sm)
 
 
 def _block_commutators(spec: HilbertSpec) -> list[np.ndarray]:
@@ -381,7 +370,7 @@ def _omega2_from_integrals(ints: IntegralSet, spec: HilbertSpec) -> np.ndarray:
     return 0.5 * g2 * sum(c * comm for c, comm in zip(coeffs, _block_commutators(spec)))
 
 
-def omega2_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> MagnusTerms:
+def omega2_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> np.ndarray:
     """Oracle: -1/2 times the double quadrature of [h_rotated(t1), h_rotated(t2)].
 
     Iterated composite Simpson over the triangle 0 <= t2 <= t1 <= t.
@@ -391,8 +380,7 @@ def omega2_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int =
     computed directly; no closed-form antiderivative or operator identity
     enters.
     """
-    om2 = _omega2_from_integrals(integrals_quadrature(params, t, n), spec)
-    return MagnusTerms(omega1=None, omega2=om2, t=t, params=params, provenance="quadrature")
+    return _omega2_from_integrals(integrals_quadrature(params, t, n), spec)
 
 
 def commutator_table(spec: HilbertSpec) -> list[tuple[str, np.ndarray, np.ndarray]]:

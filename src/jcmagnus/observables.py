@@ -31,7 +31,7 @@ __all__ = [
     "basis_state",
     "bs_phase_probe",
     "evolve",
-    "gaussian_squeeze_extrema",
+    "gaussian_squeezing",
     "populations",
     "quadrature_variance",
     "squeezing_report",
@@ -170,7 +170,7 @@ def squeezing_report(
 
     The extrema over theta are exact (see _variance_extrema).  To leading
     order the minimum variance is e^{-2r}/4 with r = g^2 |zeta|; the number
-    phase of Omega_2 does not commute with the squeeze.  _gaussian_extrema
+    phase of Omega_2 does not commute with the squeeze.  gaussian_squeezing
     gives the exact values without a Fock cutoff, and the report and sweep
     commands read those; this readout is their independent check.  Needs
     fock_dim >= 16 so the squeezed vacuum tail fits.
@@ -179,13 +179,13 @@ def squeezing_report(
         raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
     if spec.fock_dim < 16:
         raise ValueError(f"fock_dim must be >= 16 for the squeezing readout, got {spec.fock_dim}")
-    om2 = omega2_closed(params, spec, t).omega2
+    om2 = omega2_closed(params, spec, t)
     psi = evolve(expm_antiherm(om2), basis_state(spec, 0, atom))
     return _squeezing(params, t, atom, _variance_extrema(psi))
 
 
-def _gaussian_extrema(params: ModelParams, t: float, atom: str) -> tuple[float, float, float]:
-    """Exact (var_min, theta_min, var_max) of vacuum (x) |atom> under exp(Omega_2), no Fock cutoff.
+def gaussian_squeezing(params: ModelParams, t: float, atom: str) -> SqueezingReport:
+    """squeezing_report's readout, exact: vacuum (x) |atom> under exp(Omega_2), no Fock cutoff.
 
     On the sector sigma_z = sz, Omega_2 acts on the field as
     i phi n + (xi^* a^2 - xi a^dag^2)/2 plus a constant phase, with
@@ -205,27 +205,15 @@ def _gaussian_extrema(params: ModelParams, t: float, atom: str) -> tuple[float, 
         raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
     sz = 1 if atom == "e" else -1
     g2 = params.g * params.g
-    phi = sz * g2 * (_ramp(params.delta, t) - _ramp(params.sigma, t))
+    # integrals_closed first: it rejects a negative or non-finite t before _ramp sees it
     xi = sz * g2 * integrals_closed(params, t).zeta
+    phi = sz * g2 * (_ramp(params.delta, t) - _ramp(params.sigma, t))
     kappa = np.sqrt(complex(abs(xi) ** 2 - phi * phi))
     ratio = np.sinh(kappa) / kappa if kappa != 0 else 1.0
     mu = complex(np.cosh(kappa) + ratio * 1j * phi)
     nu = complex(-ratio * xi)
-    return 0.25 * (abs(mu) - abs(nu)) ** 2, _min_angle(mu * nu), 0.25 * (abs(mu) + abs(nu)) ** 2
-
-
-def gaussian_squeeze_extrema(params: ModelParams, t: float, atom: str) -> tuple[float, float]:
-    """Exact (var_min, theta_min) of vacuum (x) |atom> under exp(Omega_2), no Fock cutoff.
-
-    See _gaussian_extrema for the Bogoliubov form this is read from.
-    """
-    var_min, theta_min, _ = _gaussian_extrema(params, t, atom)
-    return var_min, theta_min
-
-
-def _gaussian_squeezing(params: ModelParams, t: float, atom: str) -> SqueezingReport:
-    """squeezing_report's fields from the exact Gaussian readout (_gaussian_extrema), no Fock space."""
-    return _squeezing(params, t, atom, _gaussian_extrema(params, t, atom))
+    extrema = 0.25 * (abs(mu) - abs(nu)) ** 2, _min_angle(mu * nu), 0.25 * (abs(mu) + abs(nu)) ** 2
+    return _squeezing(params, t, atom, extrema)
 
 
 def _bs_phase(exact: complex, rwa: complex, params: ModelParams, t: float) -> tuple[float, float]:

@@ -126,8 +126,6 @@ class PropagatorBundle:
     """
 
     blocks: np.ndarray
-    params: ModelParams
-    t: float
 
     @cached_property
     def _matrices(self) -> np.ndarray:
@@ -518,8 +516,8 @@ def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> Propa
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be non-negative and finite, got {t}")
-    omega1 = omega1_closed(params, spec, t).omega1
-    gens = [omega1, omega1 + omega2_closed(params, spec, t).omega2]
+    omega1 = omega1_closed(params, spec, t)
+    gens = [omega1, omega1 + omega2_closed(params, spec, t)]
     n = spec.fock_dim
     if t == 0.0 or params.g == 0.0:
         blocks = np.concatenate([np.broadcast_to(np.eye(n), (2, 2, n, n)), _expm_blockwise(gens)])
@@ -530,7 +528,7 @@ def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> Propa
         frame = np.exp(1j * t * phases)[_block_layout(n)[0]]
         # a new product, frame on the left: scaling in place rounds differently
         blocks[:2] = frame[:, :, None] * blocks[:2]
-    return PropagatorBundle(blocks, params, t)
+    return PropagatorBundle(blocks)
 
 
 def error_report(

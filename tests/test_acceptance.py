@@ -52,11 +52,11 @@ def grid27():
         for g in GRID_COUPLINGS:
             for t in GRID_TIMES:
                 p = ModelParams(1.0, ratio, g)
-                om1c = omega1_closed(p, spec, t).omega1
-                om2c = omega2_closed(p, spec, t).omega2
-                d1 = spectral_norm(om1c - omega1_quadrature(p, spec, t, 1024).omega1)
+                om1c = omega1_closed(p, spec, t)
+                om2c = omega2_closed(p, spec, t)
+                d1 = spectral_norm(om1c - omega1_quadrature(p, spec, t, 1024))
                 start = time.perf_counter()
-                om2q = omega2_quadrature(p, spec, t, 1024).omega2
+                om2q = omega2_quadrature(p, spec, t, 1024)
                 omega2_runtime += time.perf_counter() - start
                 d2 = spectral_norm(proj @ (om2c - om2q) @ proj)
                 ah = max(

@@ -24,7 +24,11 @@ from conftest import commutator, random_antihermitian, random_unitary
 def test_spec_validation():
     with pytest.raises(ValueError, match="fock_dim"):
         HilbertSpec(3)
-    with pytest.raises(ValueError, match="atom_dim"):
+    for bad in (12.0, "12", None, np.float64(12.0)):
+        with pytest.raises(ValueError, match="fock_dim must be an integer"):
+            HilbertSpec(bad)
+    assert HilbertSpec(np.int64(12)).dim == 24
+    with pytest.raises(TypeError):
         HilbertSpec(8, atom_dim=3)
     spec = HilbertSpec(6)
     assert spec.dim == 12

@@ -13,7 +13,7 @@ from jcmagnus.observables import (
     basis_state,
     bs_phase_probe,
     evolve,
-    gaussian_squeeze_extrema,
+    gaussian_squeezing,
     populations,
     quadrature_variance,
     squeezing_report,
@@ -156,31 +156,34 @@ def test_squeezing_report_atom_parity():
         assert angle_diff_mod_pi(rep.theta_min, rep.theta_pred) <= 1e-3
 
 
-def test_gaussian_squeeze_extrema_match_fock_readout():
+def test_gaussian_squeezing_matches_fock_readout():
     # the 2x2 Bogoliubov form of exp(Omega_2) reproduces the truncated-Fock
-    # readout, including at t = 10 where it departs from e^{-2r}/4 by 4.6e-6
+    # readout, including at t = 10 where it departs from e^{-2r}/4 by 4.6e-6;
+    # both read the prediction from squeeze_params
     p = ModelParams(1.0, 0.8, 0.05)
     spec = HilbertSpec(24)
     for t in (1.0, 2.0, 5.0, 10.0):
         for atom in ("e", "g"):
             rep = squeezing_report(p, spec, t, atom)
-            var_min, theta_min = gaussian_squeeze_extrema(p, t, atom)
-            assert abs(rep.var_min - var_min) <= 1e-15, (t, atom)
-            assert angle_diff_mod_pi(rep.theta_min, theta_min) <= 1e-10, (t, atom)
-    assert gaussian_squeeze_extrema(ModelParams(1.0, 0.8, 0.0), 1.0, "e") == (0.25, 0.0)
+            exact = gaussian_squeezing(p, t, atom)
+            assert abs(rep.var_min - exact.var_min) <= 1e-15, (t, atom)
+            assert angle_diff_mod_pi(rep.theta_min, exact.theta_min) <= 1e-10, (t, atom)
+            assert (exact.r_pred, exact.theta_pred) == (rep.r_pred, rep.theta_pred), (t, atom)
+    free = gaussian_squeezing(ModelParams(1.0, 0.8, 0.0), 1.0, "e")
+    assert (free.var_min, free.theta_min) == (0.25, 0.0)
     with pytest.raises(ValueError, match="atom"):
-        gaussian_squeeze_extrema(p, 1.0, "q")
+        gaussian_squeezing(p, 1.0, "q")
 
 
-def test_gaussian_squeeze_extrema_reduce_to_paper_prediction():
+def test_gaussian_squeezing_reduces_to_paper_prediction():
     # at t = 1 the number phase is negligible and the exact minimum is the
     # paper's e^{-2r}/4 with r = g^2 |zeta|, at theta = arg(xi)/2
     p = ModelParams(1.0, 0.8, 0.05)
     for atom, sz in (("e", 1), ("g", -1)):
         r, xi_angle = squeeze_params(p, 1.0, sz)
-        var_min, theta_min = gaussian_squeeze_extrema(p, 1.0, atom)
-        assert abs(var_min - 0.25 * math.exp(-2.0 * r)) <= 2e-11
-        assert angle_diff_mod_pi(theta_min, 0.5 * xi_angle) <= 1e-3
+        exact = gaussian_squeezing(p, 1.0, atom)
+        assert abs(exact.var_min - 0.25 * math.exp(-2.0 * r)) <= 2e-11
+        assert angle_diff_mod_pi(exact.theta_min, 0.5 * xi_angle) <= 1e-3
 
 
 def test_uncertainty_product_for_evolved_states():

@@ -8,7 +8,16 @@ from jcmagnus import propagator
 from jcmagnus.cli import _block_norms
 from jcmagnus.hilbert import HilbertSpec, annihilation, creation, spectral_norm, tensor
 from jcmagnus.jc_model import ModelParams, frame_phases, h_rwa
-from jcmagnus.magnus import integrals_closed
+from jcmagnus.magnus import (
+    integrals_closed,
+    integrals_quadrature,
+    omega1_closed,
+    omega1_quadrature,
+    omega2_closed,
+    omega2_quadrature,
+    zeta_resonance_limit,
+)
+from jcmagnus.observables import gaussian_squeezing, squeezing_report
 from jcmagnus.propagator import (
     _block_layout,
     _expm_blockwise,
@@ -106,16 +115,56 @@ def _with_entry(value: float) -> np.ndarray:
         (lambda v: u_magnus(PARAMS, HilbertSpec(6), v, 2), "^t must be non-negative and finite"),
         (lambda v: error_report(PARAMS, HilbertSpec(6), v), "^t must be non-negative and finite"),
         (lambda v: integrals_closed(PARAMS, v), "^t must be non-negative and finite"),
+        (lambda v: integrals_quadrature(PARAMS, v, 64), "^t must be non-negative and finite"),
+        (lambda v: omega1_closed(PARAMS, HilbertSpec(6), v), "^t must be non-negative and finite"),
+        (lambda v: omega2_closed(PARAMS, HilbertSpec(6), v), "^t must be non-negative and finite"),
+        (lambda v: omega1_quadrature(PARAMS, HilbertSpec(6), v, 64), "^t must be non-negative and finite"),
+        (lambda v: omega2_quadrature(PARAMS, HilbertSpec(6), v, 64), "^t must be non-negative and finite"),
+        (lambda v: zeta_resonance_limit(PARAMS, v), "^t must be non-negative and finite"),
+        (lambda v: squeezing_report(PARAMS, HilbertSpec(16), v, "e"), "^t must be non-negative and finite"),
+        (lambda v: gaussian_squeezing(PARAMS, v, "e"), "^t must be non-negative and finite"),
         (lambda v: phase_aligned_distance(_with_entry(v), np.eye(12)), "nan or inf"),
         (lambda v: phase_aligned_distances([(np.eye(12), _with_entry(v))], np.diag(np.arange(12) < 8)), "nan or inf"),
     ],
-    ids=["bundle", "u_exact", "u_rwa", "u_magnus", "error_report", "integrals_closed", "distance", "distances"],
+    ids=[
+        "bundle",
+        "u_exact",
+        "u_rwa",
+        "u_magnus",
+        "error_report",
+        "integrals_closed",
+        "integrals_quadrature",
+        "omega1_closed",
+        "omega2_closed",
+        "omega1_quadrature",
+        "omega2_quadrature",
+        "zeta_resonance_limit",
+        "squeezing_report",
+        "gaussian_squeezing",
+        "distance",
+        "distances",
+    ],
 )
 def test_non_finite_inputs_name_their_cause(call, match, value):
     # a nan or inf t, or matrix entry, raises a ValueError that names it,
     # before any computation can fail on it less clearly
     with pytest.raises(ValueError, match=match):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: omega1_closed(PARAMS, HilbertSpec(6), -1.0),
+        lambda: omega2_closed(PARAMS, HilbertSpec(6), -1.0),
+        lambda: zeta_resonance_limit(PARAMS, -1.0),
+    ],
+    ids=["omega1_closed", "omega2_closed", "zeta_resonance_limit"],
+)
+def test_negative_t_is_rejected(call):
+    # these evaluate their closed forms at any real t, so they check t themselves
+    with pytest.raises(ValueError, match="^t must be non-negative and finite, got -1.0"):
+        call()
 
 
 def test_expm_blockwise_rejects_bad_generators(rng):
@@ -573,8 +622,8 @@ def test_u_magnus2_is_single_exponential_of_sum():
 
     spec = HilbertSpec(8)
     p = ModelParams(1.0, 0.8, 0.2)
-    om1 = omega1_closed(p, spec, 1.0).omega1
-    om2 = omega2_closed(p, spec, 1.0).omega2
+    om1 = omega1_closed(p, spec, 1.0)
+    om2 = omega2_closed(p, spec, 1.0)
     expected = expm_antiherm(om1 + om2)
     assert spectral_norm(u_magnus(p, spec, 1.0, 2) - expected) <= 1e-13
     product = expm_antiherm(om1) @ expm_antiherm(om2)

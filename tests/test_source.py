@@ -76,7 +76,6 @@ def test_cross_module_private_imports():
     assert imported == {
         ("cli", "magnus", "_omega2_from_integrals"),
         ("cli", "observables", "_bs_phase"),
-        ("cli", "observables", "_gaussian_squeezing"),
         ("cli", "propagator", "_DISTANCE_PAIRS"),
         ("cli", "propagator", "_gather"),
         ("magnus", "jc_model", "_interaction_blocks"),
@@ -84,3 +83,33 @@ def test_cross_module_private_imports():
         ("observables", "magnus", "_ramp"),
         ("propagator", "hilbert", "_hermitian_norm"),
     }
+
+
+def test_module_all_lists_public_definitions():
+    # each module's __all__ is exactly the public functions, classes and
+    # UPPERCASE constants it defines, and the package re-exports only those
+    listed = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined, exported = set(), None
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {target.id for target in targets if isinstance(target, ast.Name)}
+                if "__all__" in names:
+                    exported = ast.literal_eval(stmt.value)
+                defined |= {name for name in names if name.isupper()}
+        public = {name for name in defined if not name.startswith("_")}
+        assert exported is not None and sorted(exported) == sorted(public), path.stem
+        listed[path.stem] = set(exported)
+    package = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    (package_all,) = [
+        ast.literal_eval(stmt.value)
+        for stmt in package.body
+        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+    ]
+    assert sorted(set(package_all) - set().union(*listed.values())) == []
