@@ -41,7 +41,6 @@ from .magnus import (
     omega2_closed,
     omega2_quadrature,
     shift_rates,
-    squeeze_params,
     zeta_resonance_limit,
 )
 from .observables import (
@@ -112,7 +111,6 @@ __all__ = [
     "rotation_chain_residual",
     "shift_rates",
     "spectral_norm",
-    "squeeze_params",
     "squeezing_report",
     "tensor",
     "u_exact",

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -147,8 +150,7 @@ def _evaluate(
     table = dict(zip(distances, block_distances(blocks, pairs, cfg.buffer)))
     zeta = integrals_closed(params, t).zeta
     sq = gaussian_squeezing(params, t, atom="e")
-    # <0, g| U |0, g> is entry (0, 0) of the even parity block
-    measured, predicted = _bs_phase(blocks[0, 0, 0, 0], blocks[1, 0, 0, 0], params, t)
+    measured, predicted = _bs_phase(blocks, params, t)
     margin = convergence_margin(params, t)
     if margin < 0.3 and table["err_magnus2"] > table["err_magnus1"]:
         print(
@@ -167,7 +169,7 @@ def _evaluate(
         err_magnus2=table["err_magnus2"],
         zeta_re=zeta.real,
         zeta_im=zeta.imag,
-        r_pred=g * g * abs(zeta),
+        r_pred=sq.r_pred,
         var_min=sq.var_min,
         var_max=sq.var_max,
         theta_min=sq.theta_min,
@@ -421,30 +423,31 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if total > 10**6:
         raise ValueError(f"sweep would produce {total} rows; the cap is 1e6")
 
+    existed = os.path.exists(cfg.output_path)
     try:
-        handle = open(cfg.output_path, "w", newline="", encoding="utf-8")
+        open(cfg.output_path, "a").close()  # fails on an unwritable path before any row, keeps its content
     except OSError as exc:
         raise ValueError(f"output_path {cfg.output_path!r} is not writable: {exc}") from exc
-    with handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_FIELDS)
-        for w0 in omega0s:
-            for g in gs:
-                for t in ts:
-                    row = compute_row(cfg, w0, g, t)
-                    writer.writerow([_fmt(getattr(row, name)) for name in SWEEP_FIELDS])
+    # the rows go to a scratch file first, so a sweep that raises leaves output_path as it was
+    with tempfile.TemporaryFile("w+", newline="", encoding="utf-8") as rows:
+        try:
+            writer = csv.writer(rows)
+            writer.writerow(SWEEP_FIELDS)
+            for w0, g, t in itertools.product(omega0s, gs, ts):
+                row = compute_row(cfg, w0, g, t)
+                writer.writerow([_fmt(getattr(row, name)) for name in SWEEP_FIELDS])
+        except BaseException:
+            if not existed:
+                os.remove(cfg.output_path)
+            raise
+        rows.seek(0)
+        with open(cfg.output_path, "w", newline="", encoding="utf-8") as handle:
+            handle.writelines(rows)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
-
-
-_FLOAT_KEYS = {"omega", "omega0", "g", "t"}
-_INT_KEYS = {"fock_dim", "buffer", "quad_steps"}
-_GRID_KEYS = {"t_grid", "omega0_grid", "g_grid"}
-_STR_KEYS = {"output_path"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _GRID_KEYS | _STR_KEYS
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -455,7 +458,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key=value config; '#' starts a comment, blank lines ignored."""
+    """Flat key=value config of RunConfig fields; '#' starts a comment, blank lines ignored."""
+    # a grid (default None) parses as a comma list, any other field as the type of its default
+    parsers = {f.name: _parse_grid if f.default is None else type(f.default) for f in fields(RunConfig)}
     values: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -467,11 +472,10 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _ALL_KEYS:
+            if key not in parsers:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            parse = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
             try:
-                values[key] = _parse_grid(value) if key in _GRID_KEYS else parse(value)
+                values[key] = parsers[key](value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid value for {key!r}: {exc}") from None
     return values
@@ -490,17 +494,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--omega0", type=float, default=None)
-        p.add_argument("--g", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--t-grid", dest="t_grid", type=str, default=None)
-        p.add_argument("--omega0-grid", dest="omega0_grid", type=str, default=None)
-        p.add_argument("--g-grid", dest="g_grid", type=str, default=None)
-        p.add_argument("--fock-dim", dest="fock_dim", type=int, default=None)
-        p.add_argument("--buffer", type=int, default=None)
-        p.add_argument("--quad-steps", dest="quad_steps", type=int, default=None)
-        p.add_argument("--out", dest="output_path", type=str, default=None)
+        for f in fields(RunConfig):
+            # grids stay strings here: build_config parses them into an error line, not an argparse exit
+            flag = "--out" if f.name == "output_path" else "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=str if f.default is None else type(f.default), default=None)
     return parser
 
 
@@ -508,16 +505,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
         cfg = replace(cfg, **load_config_file(args.config))
-    overrides = {}
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name in _GRID_KEYS and isinstance(value, str):
+        if f.default is None and isinstance(value, str):
             value = _parse_grid(value)
-        overrides[f.name] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        if value is not None:
+            cfg = replace(cfg, **{f.name: value})
     cfg.validate()
     return cfg
 

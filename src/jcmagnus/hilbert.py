@@ -54,8 +54,8 @@ class HilbertSpec:
 
     def index(self, n: int, atom: int) -> int:
         """Basis index of |n, atom> under the field-first convention."""
-        if not 0 <= n < self.fock_dim:
-            raise ValueError(f"Fock level {n} outside 0..{self.fock_dim - 1}")
+        if not isinstance(n, (int, np.integer)) or not 0 <= n < self.fock_dim:
+            raise ValueError(f"Fock level must be an integer in 0..{self.fock_dim - 1}, got {n!r}")
         if atom not in (ATOM_EXCITED, ATOM_GROUND):
             raise ValueError(f"atom index must be 0 (excited) or 1 (ground), got {atom}")
         return n * 2 + atom

@@ -83,7 +83,6 @@ __all__ = [
     "omega2_quadrature",
     "shift_rates",
     "simpson_weights",
-    "squeeze_params",
     "zeta_resonance_limit",
 ]
 
@@ -403,19 +402,6 @@ def commutator_table(spec: HilbertSpec) -> list[tuple[str, np.ndarray, np.ndarra
     ]
 
 
-def squeeze_params(params: ModelParams, t: float, sz: int) -> tuple[float, float]:
-    """Squeeze magnitude r and angle theta for the atom sector sz = +/-1.
-
-    The two-photon part of the second-order generator on a sigma_z eigenstate
-    is (xi^* a^2 - xi a^dag^2)/2 with xi = g^2 zeta sz; r = |xi|, theta = arg xi.
-    """
-    if sz not in (1, -1):
-        raise ValueError(f"sz must be +1 or -1, got {sz}")
-    zeta = integrals_closed(params, t).zeta
-    xi = params.g * params.g * zeta * sz
-    return abs(xi), float(np.angle(xi))
-
-
 def _safe_rate(num: float, den: float) -> float:
     if num == 0.0:
         return 0.0
@@ -434,8 +420,8 @@ def shift_rates(params: ModelParams, n: int, atom: str) -> tuple[float, float]:
     branch.  The Stark rate diverges on exact resonance where the secular
     reading breaks down.
     """
-    if n < 0:
-        raise ValueError(f"photon number must be non-negative, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"photon number must be a non-negative integer, got {n!r}")
     g2 = params.g * params.g
     if atom == "e":
         return (_safe_rate(g2 * (n + 1), params.delta), _safe_rate(-g2 * n, params.sigma))

@@ -22,7 +22,7 @@ from .hilbert import (
     tensor,
 )
 from .jc_model import ModelParams
-from .magnus import _ramp, integrals_closed, omega2_closed, shift_rates, squeeze_params
+from .magnus import _ramp, integrals_closed, omega2_closed, shift_rates
 from .propagator import propagator_bundle, unitarity_defect
 
 __all__ = [
@@ -147,15 +147,24 @@ def _variance_extrema(psi: StateVector) -> tuple[float, float, float]:
     return mid - half, _min_angle(c), mid + half
 
 
-def _squeezing(
-    params: ModelParams, t: float, atom: str, extrema: tuple[float, float, float]
-) -> SqueezingReport:
-    """The report of (var_min, theta_min, var_max) next to the paper's prediction."""
-    r_pred, xi_angle = squeeze_params(params, t, 1 if atom == "e" else -1)
+def _sector_xi(params: ModelParams, t: float, atom: str) -> tuple[int, complex]:
+    """sz of the atom sector and its squeeze amplitude xi = g^2 zeta sz.
+
+    On a sigma_z eigenstate the two-photon part of Omega_2 is
+    (xi^* a^2 - xi a^dag^2)/2, a squeeze of magnitude r = |xi| at angle arg(xi)/2.
+    """
+    if atom not in _ATOM_INDEX:
+        raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
+    sz = 1 if atom == "e" else -1
+    return sz, params.g * params.g * integrals_closed(params, t).zeta * sz
+
+
+def _squeezing(xi: complex, extrema: tuple[float, float, float]) -> SqueezingReport:
+    """The report of (var_min, theta_min, var_max) next to the paper's prediction from xi."""
     var_min, theta_min, var_max = extrema
     return SqueezingReport(
-        r_pred=r_pred,
-        theta_pred=(0.5 * xi_angle) % np.pi,
+        r_pred=abs(xi),
+        theta_pred=(0.5 * float(np.angle(xi))) % np.pi,
         var_min=var_min,
         var_max=var_max,
         theta_min=theta_min,
@@ -175,13 +184,12 @@ def squeezing_report(
     commands read those; this readout is their independent check.  Needs
     fock_dim >= 16 so the squeezed vacuum tail fits.
     """
-    if atom not in _ATOM_INDEX:
-        raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
+    _, xi = _sector_xi(params, t, atom)
     if spec.fock_dim < 16:
         raise ValueError(f"fock_dim must be >= 16 for the squeezing readout, got {spec.fock_dim}")
     om2 = omega2_closed(params, spec, t)
     psi = evolve(expm_antiherm(om2), basis_state(spec, 0, atom))
-    return _squeezing(params, t, atom, _variance_extrema(psi))
+    return _squeezing(xi, _variance_extrema(psi))
 
 
 def gaussian_squeezing(params: ModelParams, t: float, atom: str) -> SqueezingReport:
@@ -201,24 +209,23 @@ def gaussian_squeezing(params: ModelParams, t: float, atom: str) -> SqueezingRep
     e^{-2r}/4 with r = |xi| is the phi -> 0 limit of var_min: the number
     phase does not commute with the squeeze.
     """
-    if atom not in _ATOM_INDEX:
-        raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
-    sz = 1 if atom == "e" else -1
-    g2 = params.g * params.g
-    # integrals_closed first: it rejects a negative or non-finite t before _ramp sees it
-    xi = sz * g2 * integrals_closed(params, t).zeta
-    phi = sz * g2 * (_ramp(params.delta, t) - _ramp(params.sigma, t))
+    # _sector_xi first: its integrals_closed rejects a negative or non-finite t before _ramp sees it
+    sz, xi = _sector_xi(params, t, atom)
+    phi = sz * params.g * params.g * (_ramp(params.delta, t) - _ramp(params.sigma, t))
     kappa = np.sqrt(complex(abs(xi) ** 2 - phi * phi))
     ratio = np.sinh(kappa) / kappa if kappa != 0 else 1.0
     mu = complex(np.cosh(kappa) + ratio * 1j * phi)
     nu = complex(-ratio * xi)
     extrema = 0.25 * (abs(mu) - abs(nu)) ** 2, _min_angle(mu * nu), 0.25 * (abs(mu) + abs(nu)) ** 2
-    return _squeezing(params, t, atom, extrema)
+    return _squeezing(xi, extrema)
 
 
-def _bs_phase(exact: complex, rwa: complex, params: ModelParams, t: float) -> tuple[float, float]:
-    """(measured, predicted) Bloch-Siegert phase from <0,g|u_exact|0,g> and <0,g|u_rwa|0,g>."""
-    measured = float(np.angle(exact) - np.angle(rwa))
+def _bs_phase(blocks: np.ndarray, params: ModelParams, t: float) -> tuple[float, float]:
+    """(measured, predicted) Bloch-Siegert phase from a propagator bundle's blocks.
+
+    <0,g|U|0,g> is entry (0, 0) of parity block 0, read from u_exact and u_rwa.
+    """
+    measured = float(np.angle(blocks[0, 0, 0, 0]) - np.angle(blocks[1, 0, 0, 0]))
     measured = (measured + np.pi) % (2.0 * np.pi) - np.pi
     predicted = shift_rates(params, 0, "g")[1] * t
     return measured, predicted
@@ -231,8 +238,6 @@ def bs_phase_probe(params: ModelParams, spec: HilbertSpec, t: float) -> tuple[fl
     annihilates |0, g>, so the whole phase difference is the counter-rotating
     second-order shift.  predicted = bs_rate(n=0, ground) * t = g^2 t / sigma.
     Meaningful while g t / pi stays below about one half.  Both propagators
-    are read from the blocks of one propagator_bundle; |0, g> is position 0 of
-    parity block 0.
+    are read from the blocks of one propagator_bundle (see _bs_phase).
     """
-    blocks = propagator_bundle(params, spec, t).blocks
-    return _bs_phase(blocks[0, 0, 0, 0], blocks[1, 0, 0, 0], params, t)
+    return _bs_phase(propagator_bundle(params, spec, t).blocks, params, t)

@@ -2,12 +2,13 @@ import csv
 import itertools
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from jcmagnus import cli, magnus, propagator
-from jcmagnus.cli import SWEEP_FIELDS, RunConfig, load_config_file, main
+from jcmagnus import cli, magnus, observables, propagator
+from jcmagnus.cli import SWEEP_FIELDS, RunConfig, _build_parser, build_config, load_config_file, main
 from jcmagnus.hilbert import HilbertSpec
 from jcmagnus.jc_model import ModelParams
 from jcmagnus.observables import bs_phase_probe, squeezing_report
@@ -219,9 +220,69 @@ def test_config_file_value_errors_name_line_and_key(tmp_path, capsys, line, key)
 def test_overflowing_t_is_an_error_line(tmp_path, capsys, argv, t):
     # a t whose cube overflows a float exits 2 with one error line naming t,
     # not a traceback
-    assert main([*argv, *FAST, "--out", str(tmp_path / "s.csv")]) == 2
+    out = tmp_path / "s.csv"
+    assert main([*argv, *FAST, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: t = {t} is too large: t**3 overflows a float"]
+    # a sweep that fails part-way leaves output_path as it was: absent, or
+    # holding its old content
+    assert not out.exists()
+    out.write_text("old content\n")
+    assert main([*argv, *FAST, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == err
+    assert out.read_text() == "old content\n"
+
+
+def test_every_config_field_has_a_key_and_a_flag(tmp_path):
+    # one value per RunConfig field, set once by its config-file key and once
+    # by its flag; both give the same parsed value, which differs from the default
+    settings = {
+        "omega": ("--omega", "1.5", 1.5),
+        "omega0": ("--omega0", "0.7", 0.7),
+        "g": ("--g", "0.03", 0.03),
+        "t": ("--t", "2.5", 2.5),
+        "t_grid": ("--t-grid", "0.5,1", (0.5, 1.0)),
+        "omega0_grid": ("--omega0-grid", "0.7,0.9", (0.7, 0.9)),
+        "g_grid": ("--g-grid", "0.01,0.02", (0.01, 0.02)),
+        "fock_dim": ("--fock-dim", "16", 16),
+        "buffer": ("--buffer", "3", 3),
+        "quad_steps": ("--quad-steps", "512", 512),
+        "output_path": ("--out", "x.csv", "x.csv"),
+    }
+    assert list(settings) == [f.name for f in fields(RunConfig)]
+    parser = _build_parser()
+    for name, (flag, text, value) in settings.items():
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(f"{name} = {text}\n")
+        from_file = build_config(parser.parse_args(["report", "--config", str(cfg_file)]))
+        from_flag = build_config(parser.parse_args(["report", flag, text]))
+        assert getattr(from_file, name) == getattr(from_flag, name) == value != getattr(RunConfig(), name)
+        assert type(getattr(from_file, name)) is type(getattr(from_flag, name)) is type(value), name
+
+
+def test_zeta_is_evaluated_twice_per_row(monkeypatch, capsys):
+    # a row takes zeta once for its own columns and once for the squeeze
+    # amplitude xi, from which both r_pred and theta_pred follow; a default
+    # verify adds its closed integrals, the two resonance probes and one
+    # xi per squeezing readout (two atoms, two readouts)
+    calls = []
+    real = magnus.integrals_closed
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (magnus, cli, observables):
+        monkeypatch.setattr(module, "integrals_closed", counting)
+    cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
+    assert len(calls) == 2
+    calls.clear()
+    assert cli.cmd_report(RunConfig()) == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert cli.cmd_verify(RunConfig()) == 0
+    capsys.readouterr()
+    assert len(calls) == 7
 
 
 def test_grid_flag_parsing(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from jcmagnus.hilbert import (
     tensor,
 )
 from jcmagnus.hilbert import _hermitian_norm
+from jcmagnus.observables import basis_state
 
 from conftest import commutator, random_antihermitian, random_unitary
 
@@ -35,6 +37,14 @@ def test_spec_validation():
     assert spec.index(2, 1) == 5
     with pytest.raises(ValueError):
         spec.index(6, 0)
+    # a Fock level that is not an integer is named, not used as an index
+    for bad in (1.5, 1.0, math.nan, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="Fock level must be an integer"):
+            spec.index(bad, 0)
+        with pytest.raises(ValueError, match="Fock level must be an integer"):
+            basis_state(spec, bad, "e")
+    assert spec.index(np.int64(1), 0) == 2
+    assert np.array_equal(basis_state(spec, np.int64(1), "e").amplitudes, basis_state(spec, 1, "e").amplitudes)
 
 
 def test_annihilation_entries():

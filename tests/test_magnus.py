@@ -21,10 +21,10 @@ from jcmagnus.magnus import (
     omega2_quadrature,
     shift_rates,
     simpson_weights,
-    squeeze_params,
     zeta_resonance_limit,
 )
 from jcmagnus.magnus import _inner_sums, _ramp, _zeta_closed
+from jcmagnus.observables import gaussian_squeezing
 from jcmagnus.propagator import project_buffer
 
 from oracles import inner_sums_grid, integrals_triangle_rule, omega1_stack_rule
@@ -406,16 +406,19 @@ def test_commutator_table_identities():
         assert spectral_norm(proj @ (direct - closed) @ proj) <= 1e-13
 
 
-def test_squeeze_params():
+def test_squeeze_prediction():
+    # r = |xi| and theta = arg(xi)/2 with xi = g^2 zeta sz, read off the exact readout
     p = ModelParams(1.0, 0.5, 0.05)
-    r, theta = squeeze_params(p, 1.0, +1)
-    assert r == pytest.approx(0.0025 * abs(ZETA_1_05_T1), rel=1e-12)
-    r_flip, theta_flip = squeeze_params(p, 1.0, -1)
-    assert r_flip == pytest.approx(r, rel=1e-15)
-    assert abs(((theta_flip - theta) - np.pi) % (2 * np.pi)) <= 1e-12
-    assert squeeze_params(ModelParams(1.0, 0.5, 0.0), 1.0, +1)[0] == 0.0
-    with pytest.raises(ValueError):
-        squeeze_params(p, 1.0, 0)
+    excited = gaussian_squeezing(p, 1.0, "e")
+    assert excited.r_pred == pytest.approx(0.0025 * abs(ZETA_1_05_T1), rel=1e-12)
+    ground = gaussian_squeezing(p, 1.0, "g")
+    assert ground.r_pred == pytest.approx(excited.r_pred, rel=1e-15)
+    # xi flips sign between the sectors, so the squeeze axis turns by pi/2 mod pi
+    turn = (ground.theta_pred - excited.theta_pred - np.pi / 2) % np.pi
+    assert min(turn, np.pi - turn) <= 1e-12
+    assert gaussian_squeezing(ModelParams(1.0, 0.5, 0.0), 1.0, "e").r_pred == 0.0
+    with pytest.raises(ValueError, match="atom"):
+        gaussian_squeezing(p, 1.0, "x")
 
 
 def test_shift_rates_low_photon():
@@ -427,6 +430,11 @@ def test_shift_rates_low_photon():
         shift_rates(p, -1, "e")
     with pytest.raises(ValueError):
         shift_rates(p, 0, "x")
+    # a photon number that is not an integer is named, not turned into a rate
+    for bad in (1.5, 1.0, math.nan, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="photon number must be a non-negative integer"):
+            shift_rates(p, bad, "e")
+    assert shift_rates(p, np.int64(1), "e") == shift_rates(p, 1, "e")
 
 
 def test_shift_rates_match_secular_diagonal():

@@ -5,7 +5,6 @@ import pytest
 
 from jcmagnus.hilbert import ATOM_GROUND, HilbertSpec, annihilation, creation, expm_antiherm, tensor
 from jcmagnus.jc_model import ModelParams
-from jcmagnus.magnus import squeeze_params
 from jcmagnus.observables import (
     SqueezingReport,
     StateVector,
@@ -159,7 +158,7 @@ def test_squeezing_report_atom_parity():
 def test_gaussian_squeezing_matches_fock_readout():
     # the 2x2 Bogoliubov form of exp(Omega_2) reproduces the truncated-Fock
     # readout, including at t = 10 where it departs from e^{-2r}/4 by 4.6e-6;
-    # both read the prediction from squeeze_params
+    # both take r_pred and theta_pred from the same squeeze amplitude xi
     p = ModelParams(1.0, 0.8, 0.05)
     spec = HilbertSpec(24)
     for t in (1.0, 2.0, 5.0, 10.0):
@@ -179,11 +178,10 @@ def test_gaussian_squeezing_reduces_to_paper_prediction():
     # at t = 1 the number phase is negligible and the exact minimum is the
     # paper's e^{-2r}/4 with r = g^2 |zeta|, at theta = arg(xi)/2
     p = ModelParams(1.0, 0.8, 0.05)
-    for atom, sz in (("e", 1), ("g", -1)):
-        r, xi_angle = squeeze_params(p, 1.0, sz)
+    for atom in ("e", "g"):
         exact = gaussian_squeezing(p, 1.0, atom)
-        assert abs(exact.var_min - 0.25 * math.exp(-2.0 * r)) <= 2e-11
-        assert angle_diff_mod_pi(exact.theta_min, 0.5 * xi_angle) <= 1e-3
+        assert abs(exact.var_min - 0.25 * math.exp(-2.0 * exact.r_pred)) <= 2e-11
+        assert angle_diff_mod_pi(exact.theta_min, exact.theta_pred) <= 1e-3
 
 
 def test_uncertainty_product_for_evolved_states():
