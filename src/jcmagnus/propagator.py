@@ -215,21 +215,23 @@ def _windowed(pair: tuple[np.ndarray, np.ndarray], projector: np.ndarray | None)
 
 
 def _branches_and_minorants(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
-    """Top branches and minorants of each x_i - z_i y_i, from one full SVD each.
+    """Top singular pair models and minorants of each x_i - z_i y_i, from one full SVD each.
 
     x and y are stacks of square matrices and z a vector of unit phases.  The
-    branches are (sigma_k, sigma_k', sigma_k'') of the two largest singular
-    values, in phi with z = e^{i phi}: M' = -i z y and M'' = i M'.  With
-    K = U^dag M' V,
+    model of block i is (sigma_1, sigma_1', r_1, sigma_2, sigma_2', r_2,
+    |kappa|^2) for its two largest singular values, in phi with z = e^{i phi}:
+    M' = -i z y and M'' = i M'.  With K = U^dag M' V, sigma_k' = Re K_kk and
 
-        sigma_k'  = Re K_kk,
         sigma_k'' = Re(i K_kk) + sum_{j != k} |K_jk + conj(K_kj)|^2 / (2 (sigma_k - sigma_j))
                                + sum_j |K_jk - conj(K_kj)|^2 / (2 (sigma_k + sigma_j)),
 
     the second-order perturbation of the eigenvalue sigma_k of the Hermitian
-    dilation [[0, M], [M^dag, 0]].  Terms with a zero denominator (exact ties
-    and pairs of zero singular values) are dropped: their numerators vanish
-    along the analytic branches.
+    dilation [[0, M], [M^dag, 0]].  kappa = (K_21 + conj(K_12)) / 2 couples
+    the pair, and r_k is sigma_k'' without the pair's own term, +-2 |kappa|^2 /
+    (sigma_1 - sigma_2), which _model_step keeps exact.  Terms with a zero
+    denominator (exact ties and pairs of zero singular values) are dropped:
+    their numerators vanish along the analytic branches.  A 1 x 1 block
+    repeats its one branch, with kappa = 0.
 
     Each singular pair k bounds the norm at every phase (Horn & Johnson,
     Matrix Analysis, 2013): sigma_max(x - e^{i phi} y) >= |a_k - e^{i phi} b_k|
@@ -246,41 +248,93 @@ def _branches_and_minorants(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tupl
     col = dz * (uh @ w[:, :, :top])  # K_jk for the top k
     row = adjoint(dz * (uh[:, :top] @ w))  # conj(K_kj)
     kk = np.diagonal(col, axis1=1, axis2=2)
+    gaps = s[:, None, :top] - s[:, :, None]
+    if top == 2:
+        gaps[:, [1, 0], [0, 1]] = 0.0  # the pair's own term, which kappa carries
     curv = -kk.imag
-    for num, den in (
-        (np.abs(col + row) ** 2, s[:, None, :top] - s[:, :, None]),
-        (np.abs(col - row) ** 2, s[:, None, :top] + s[:, :, None]),
-    ):
+    for num, den in ((np.abs(col + row) ** 2, gaps), (np.abs(col - row) ** 2, s[:, None, :top] + s[:, :, None])):
         curv = curv + np.sum(np.divide(num, 2.0 * den, out=np.zeros(num.shape), where=den != 0), axis=1)
-    branches = [list(zip(*cols)) for cols in zip(s[:, :top].tolist(), kk.real.tolist(), curv.tolist())]
+    kappa = 0.5 * (col[:, 1, 0] + row[:, 1, 0]) if top == 2 else np.zeros(len(s))
+    cols = (s[:, 0], kk.real[:, 0], curv[:, 0], s[:, top - 1], kk.real[:, top - 1], curv[:, top - 1], np.abs(kappa) ** 2)
     abs_a, abs_b = np.abs(a), np.abs(b)
-    return branches, np.stack([abs_a - abs_b, 2.0 * np.sqrt(abs_a * abs_b), np.angle(a * b.conj())], axis=1)
+    models = [[m] for m in zip(*(c.tolist() for c in cols))]
+    return models, np.stack([abs_a - abs_b, 2.0 * np.sqrt(abs_a * abs_b), np.angle(a * b.conj())], axis=1)
 
 
-def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
-    """Step h to the local minimum nearest 0 of the largest of the branch models.
+def _pair_model(s1: float, d1: float, r1: float, s2: float, d2: float, r2: float, k2: float):
+    """(at, h): at(h) = (m, m', m'') of one block's pair model m, and h its smooth minimum or None.
 
-    Each branch is modelled as q(h) = sigma + sigma' h + sigma'' h^2 / 2.  A
-    local minimum of max_k q_k is either the Newton point of a convex model
-    that is on top there (a smooth minimum) or a crossing of two models that
-    are on top there with slopes of opposite sign (a kink); None when there
-    is neither.  Candidates go Newton points first, then crossings by pair of
-    branches; of equally near ones the first wins.
+    m(h) is the upper eigenvalue of [[q_1(h), kappa h], [conj(kappa) h, q_2(h)]],
+    q_i = s_i + d_i h + r_i h^2 / 2, k2 = |kappa|^2 > 0.  With r = 0 it is
+    a + b h + sqrt((D0 + D1 h)^2 + k2 h^2), whose minimum is a root of a
+    quadratic equation; h starts there (at 0 if there is none) and takes up
+    to seven Newton steps on m.  h is None unless m stays convex and h ends
+    within an ulp of m's minimum value, with a gap above 1e3 eps s_1 there.
     """
 
-    def top(h: float) -> float:
-        return max([s + d * h + 0.5 * c * h * h for s, d, c in branches])
+    def at(h: float) -> tuple[float, float, float]:
+        q1, q2 = s1 + (d1 + 0.5 * r1 * h) * h, s2 + (d2 + 0.5 * r2 * h) * h
+        half, slope = 0.5 * (q1 - q2), 0.5 * (d1 - d2 + (r1 - r2) * h)
+        rad = math.sqrt(half * half + k2 * h * h)
+        if rad == 0.0:  # an exact crossing: no derivatives
+            return 0.5 * (q1 + q2), math.nan, math.nan
+        g = (half * slope + k2 * h) / rad
+        curv = 0.5 * (r1 + r2) + (slope * slope + 0.5 * half * (r1 - r2) + k2 - g * g) / rad
+        return 0.5 * (q1 + q2) + rad, 0.5 * (d1 + d2 + (r1 + r2) * h) + g, curv
+
+    b, d0, dd, a = 0.5 * (d1 + d2), 0.5 * (s1 - s2), 0.5 * (d1 - d2), 0.25 * (d1 - d2) * (d1 - d2) + k2
+    h = -d0 * (dd + b * math.sqrt(k2 / (a - b * b))) / a if a > b * b else 0.0
+    for _ in range(8):
+        m, slope, curv = at(h)
+        if not curv > 0.0:
+            return at, None
+        if slope * slope <= 2.0 * curv * math.ulp(m):
+            gap = math.hypot(s1 - s2 + (d1 - d2 + 0.5 * (r1 - r2) * h) * h, 2.0 * math.sqrt(k2) * h)
+            return at, (h if gap > 1e3 * np.finfo(float).eps * s1 else None)
+        h -= slope / curv
+    return at, None
+
+
+def _model_step(blocks: list[tuple[float, ...]]) -> tuple[float | None, float | None]:
+    """(h, value): the step to the local minimum nearest 0 of the largest block model, and the model there if smooth.
+
+    A block (sigma_1, sigma_1', r_1, sigma_2, sigma_2', r_2, |kappa|^2) of
+    _branches_and_minorants is modelled by one 2 x 2 model of its top
+    singular pair (_pair_model).  It matches sigma_1 to second order at h = 0
+    and also holds across an avoided crossing of the pair, where the Taylor
+    model of sigma_1 fails (Lewis & Overton, Acta Numerica 5 (1996) 149).
+    Without a smooth minimum (kappa = 0, a tie, or a gap of rounding size
+    there: an exact crossing) the block is its two branches sigma_k +
+    sigma_k' h + sigma_k'' h^2 / 2 instead.  A local minimum of the
+    largest model is a minimum of a model on top there (smooth; Newton for a
+    branch), or a crossing of two models on top there with slopes of
+    opposite sign (a kink): a root of their Taylor quadratics, polished by up
+    to three Newton steps where a pair model takes part.  Candidates go
+    minima first, then crossings by pair of models; of equally near ones the
+    first wins.  value is None at a kink, and both are None without a minimum.
+    """
+    models = []  # (at: h -> (value, slope, curvature), Taylor quadratic at 0, smooth minimum, is a pair model)
+    for s1, d1, r1, s2, d2, r2, k2 in blocks:
+        pull = 2.0 * k2 / (s1 - s2) if s1 > s2 else 0.0  # the pair's own term of sigma_k''
+        at, h = _pair_model(s1, d1, r1, s2, d2, r2, k2) if pull > 0.0 else (None, None)
+        if h is not None:
+            models.append((at, (s1, d1, r1 + pull), h, True))
+            continue
+        for s, d, c in ((s1, d1, r1 + pull), (s2, d2, r2 - pull)):
+            branch = lambda h, s=s, d=d, c=c: (s + d * h + 0.5 * c * h * h, d + c * h, c)  # noqa: E731
+            models.append((branch, (s, d, c), -d / c if c > 0.0 else None, False))
+
+    def on_top(value: float, h: float, *own) -> bool:
+        return all(value >= at(h)[0] for at, *_ in models if at not in own)
 
     def nearer(h: float) -> bool:
         return math.isfinite(h) and (best is None or abs(h) < abs(best))
 
-    best = None
-    for s, d, c in branches:
-        if c > 0.0:
-            h = -d / c
-            if nearer(h) and s + d * h + 0.5 * c * h * h >= top(h):
-                best = h
-    for (s1, d1, c1), (s2, d2, c2) in itertools.combinations(branches, 2):
+    best = low = None
+    for at, _, h, _ in models:
+        if h is not None and nearer(h) and on_top(value := at(h)[0], h, at):
+            best, low = h, value
+    for (at1, (s1, d1, c1), _, pair1), (at2, (s2, d2, c2), _, pair2) in itertools.combinations(models, 2):
         a, b, c = s1 - s2, d1 - d2, 0.5 * (c1 - c2)
         if c == 0.0:
             roots: tuple[float, ...] = (-a / b,) if b != 0.0 else ()
@@ -289,14 +343,14 @@ def _model_step(branches: list[tuple[float, float, float]]) -> float | None:
             roots = (q / c, a / q) if q != 0.0 else (q / c,)
         else:
             roots = ()
-        for h in roots:
-            if (
-                nearer(h)
-                and (d1 + c1 * h) * (d2 + c2 * h) <= 0.0
-                and max(s1 + d1 * h + 0.5 * c1 * h * h, s2 + d2 * h + 0.5 * c2 * h * h) >= top(h)
-            ):
-                best = h
-    return best
+        for h in filter(nearer, roots):
+            for _ in range(3 if pair1 or pair2 else 0):
+                (v1, e1, _), (v2, e2, _) = at1(h), at2(h)
+                h = h - (v1 - v2) / (e1 - e2) if e1 != e2 else h
+            (v1, e1, _), (v2, e2, _) = at1(h), at2(h)
+            if nearer(h) and e1 * e2 <= 0.0 and on_top(max(v1, v2), h, at1, at2):
+                best, low = h, None
+    return best, low
 
 
 def _below(minorants: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -336,18 +390,21 @@ def _bracket(phi: float, level: float, minorants: np.ndarray) -> tuple[float, fl
 def _phase_search(phi0: float, margin: float):
     """The phase search of one pair from phi0, as a generator driven by _search.
 
-    It yields a list of phases, is sent per phase the branches of all blocks
-    in one list and their minorants along one axis (_branches_and_minorants),
-    and returns the distance.  margin bounds the rounding of any value.
+    It yields a list of phases, is sent per phase the pair models of all
+    blocks in one list and their minorants along one axis
+    (_branches_and_minorants), and returns the distance.  margin bounds the
+    rounding of any value; a step that rises by more restarts the reach.
     """
     found = []  # the minorants of every phase evaluated
 
     def refine(phi: float, branches: list, lo: float, hi: float, best_f: float):
         """Refine from phi in [lo, hi]: best value, stop phase, model-step reach (with no step, bracket's near side)."""
         steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
-        lo0, hi0, anchor = lo, hi, phi  # anchor: where the model steps since the last bisection began
+        lo0, hi0, anchor = lo, hi, phi  # anchor: where the model steps since the last bisection or rise began
         while best_f > 0.0:
-            f, slope, _ = max(branches)
+            f, slope = max(branches)[:2]
+            if f > best_f + margin:  # the model failed across the step: the steps reach from here
+                anchor = phi
             best_f = min(best_f, f)
             tol = _ULPS * math.ulp(max(abs(phi), 1.0))
             if hi - lo <= tol:
@@ -358,8 +415,8 @@ def _phase_search(phi0: float, margin: float):
                 lo = phi
             else:
                 break
-            h = _model_step(branches)
-            if h is not None and abs(h) <= tol:
+            h, low = _model_step(branches)
+            if h is not None and (abs(h) <= tol or low is not None and 0.0 <= f - low <= _ULPS * math.ulp(f)):
                 break
             # halving the step at least every other iterate bounds the count
             if h is None or not lo < phi + h < hi or abs(h) > 0.5 * steps[-2]:
@@ -455,18 +512,21 @@ def phase_aligned_distances(
     ValueError.
 
     Each evaluation of f is one full SVD per block: the two largest singular
-    values with their first and second derivatives in phi, and a minorant of f
-    at all phases from every singular pair (_branches_and_minorants).  The
-    first is at phi0 = arg tr(B^dag A), A and B the projected arguments,
-    summed over their blocks.  A refinement steps to the nearest local minimum
-    of the largest branch model (_model_step): Newton at a smooth minimum, the
-    crossing of two branches at a kink (Lewis & Overton, Acta Numerica 5
-    (1996) 149).  Its bracket, first the arc around phi0 that the minorants
-    leave open, narrows with the sign of the slope; a step leaving it or
-    longer than half the step before last is replaced by bisection.  It stops
-    at a step of a few ulps of phi, keeps the smallest value seen, so
-    distances are exact to rounding, and closes the arc around its minimum
-    that its model steps reached.  The minorants rule out in closed form every
+    values with their first derivatives, their coupling and second-order
+    terms in phi, and a minorant of f at all phases from every singular pair
+    (_branches_and_minorants).  The first is at phi0 = arg tr(B^dag A), A and
+    B the projected arguments, summed over their blocks.  A refinement steps
+    to the nearest local minimum of the largest block model (_model_step):
+    one 2 x 2 model of each block's top singular pair, whose upper eigenvalue
+    holds across an avoided crossing of the pair (Lewis & Overton, Acta
+    Numerica 5 (1996) 149), with two branches and their crossing where the
+    pair crosses exactly.  Its bracket, first the arc around phi0 that the
+    minorants leave open, narrows with the sign of the slope; a step leaving
+    it or longer than half the step before last is replaced by bisection.  It
+    stops at a step of a few ulps of phi or where a smooth model minimum
+    predicts a decrease of at most 4 ulps of f, keeps the smallest value
+    seen, so distances are exact to rounding, and closes the arc around its
+    minimum that its model steps reached.  The minorants rule out in closed form every
     phase where f cannot beat the best value by more than rounding.  Each arc
     left gets one evaluation at the lowest point of the minorants' envelope
     (Shubert, SIAM J. Numer. Anal. 9 (1972) 379), and a refinement runs

@@ -1,5 +1,6 @@
 """Independent reference implementations that the tests compare the library against."""
 
+import itertools
 import math
 
 import numpy as np
@@ -143,6 +144,47 @@ def phase_scan_distance(u1, u2, projector=None) -> float:
         if values[k] - 0.5 * step * lipschitz >= best:
             break
         best = min(best, golden(coarse[k] - step, coarse[k] + step))
+    return best
+
+
+def branch_model_step(branches) -> float | None:
+    """Step h to the local minimum nearest 0 of the largest quadratic branch model.
+
+    Each branch (sigma, sigma', sigma'') is modelled as sigma + sigma' h +
+    sigma'' h^2 / 2, with no coupling between branches.  A local minimum of
+    the largest model is the Newton point of a convex branch on top there, or
+    a crossing of two branches on top there with slopes of opposite sign;
+    None when there is neither.  Newton points go first, then crossings by
+    pair of branches; of equally near ones the first wins.
+    """
+
+    def q(branch, h):
+        s, d, c = branch
+        return s + d * h + 0.5 * c * h * h
+
+    def top(h):
+        return max([q(b, h) for b in branches])
+
+    best = None
+    candidates = [(-d / c, (s, d, c), None) for s, d, c in branches if c > 0.0]
+    for b1, b2 in itertools.combinations(branches, 2):
+        a, b, c = b1[0] - b2[0], b1[1] - b2[1], 0.5 * (b1[2] - b2[2])
+        if c == 0.0:
+            roots = (-a / b,) if b != 0.0 else ()
+        elif b * b >= 4.0 * a * c:
+            root = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+            roots = (root / c, a / root) if root != 0.0 else (root / c,)
+        else:
+            roots = ()
+        candidates += [(h, b1, b2) for h in roots]
+    for h, b1, b2 in candidates:
+        if not math.isfinite(h) or best is not None and abs(h) >= abs(best):
+            continue
+        if b2 is None:
+            if q(b1, h) >= top(h):
+                best = h
+        elif (b1[1] + b1[2] * h) * (b2[1] + b2[2] * h) <= 0.0 and max(q(b1, h), q(b2, h)) >= top(h):
+            best = h
     return best
 
 

@@ -543,8 +543,8 @@ def test_row_and_report_compute_only_printed_distances(monkeypatch, capsys):
 
 def test_row_lapack_calls(monkeypatch):
     # at the default point a row takes one stacked eigh for its four
-    # exponentials and at most 8 SVD calls for its three distances, all full
-    # (the minorants and branches of one round each), none values-only
+    # exponentials and at most 4 SVD calls for its three distances, all full
+    # (the minorants and pair models of one round each), none values-only
     calls = {"eigh": [], "svd": []}
     for name in calls:
         real = getattr(np.linalg, name)
@@ -556,7 +556,7 @@ def test_row_lapack_calls(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
     assert len(calls["eigh"]) == 1
-    assert 0 < len(calls["svd"]) <= 8
+    assert 0 < len(calls["svd"]) <= 4
     assert all(calls["svd"])
 
 

@@ -34,6 +34,7 @@ from jcmagnus.propagator import (
 )
 from conftest import commutator, random_antihermitian, random_unitary
 from oracles import (
+    branch_model_step,
     eigenphase_arc_distance,
     midpoint_extrapolated,
     midpoint_product,
@@ -323,9 +324,10 @@ def test_phase_alignment_matches_scan_oracle(fock, w0, g, t):
     for name, (k1, k2) in PAIRS.items():
         u1, u2 = getattr(bundle, k1), getattr(bundle, k2)
         want = phase_scan_distance(u1, u2, proj)
-        assert abs(table[name] - want) <= 1e-9, name
+        assert abs(table[name] - want) <= 1e-12 * want + 1e-15, (name, table[name], want)
+        # rotated, the minimum sits near phi = 2.8, where ulp(phi) is coarser
         rotated = phase_aligned_distance(np.exp(2.1j) * u1, np.exp(-0.7j) * u2, proj)
-        assert abs(rotated - want) <= 1e-9, name
+        assert abs(rotated - want) <= 1e-12 * want + 1e-15, (name, rotated, want)
 
 
 @pytest.mark.parametrize("fock, w0, g, t", [p for p in PHASE_GRID if p[0] in (12, 24)])
@@ -485,8 +487,91 @@ def test_error_report_stacks_svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     error_report(PARAMS, HilbertSpec(12), 1.0)
-    assert 0 < len(calls) <= 9
+    assert 0 < len(calls) <= 4
     assert all(calls)
+
+
+def _count_evaluations(monkeypatch) -> list[int]:
+    """The number of blocks in each _branches_and_minorants call from here on."""
+    seen = []
+    real = propagator._branches_and_minorants
+
+    def counting(x, y, z):
+        seen.append(len(x))
+        return real(x, y, z)
+
+    monkeypatch.setattr(propagator, "_branches_and_minorants", counting)
+    return seen
+
+
+def test_phase_search_evaluations_per_pair(monkeypatch):
+    # the pair models step across the avoided crossings at the minima: the six
+    # distances of each fock-12 PHASE_GRID point take at most 3.6 evaluations
+    # per pair on average (4.47 with one quadratic model per branch), each
+    # evaluation one SVD per parity block
+    seen = _count_evaluations(monkeypatch)
+    points = [p for p in PHASE_GRID if p[0] == 12]
+    for fock, w0, g, t in points:
+        error_report(ModelParams(1.0, w0, g), HilbertSpec(fock), t)
+    assert sum(seen) / 2 / (6 * len(points)) <= 3.6
+
+
+def _avoided_crossing_pair(coupling: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """A 3 x 3 pair whose top two singular values meet near phi0 = -(1.15 + beta) / 2.
+
+    Without coupling, x - e^{i phi} y is diagonal and its top singular values
+    |1 - e^{i (phi + 0.45)} / 2| and |1 - e^{i (phi + 0.7 + beta)} / 2| cross
+    (a kink); coupling makes x non-normal, so they avoid each other.  The odd
+    size makes the pair one block.
+    """
+    x = np.array([[1.0, coupling, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.1]], dtype=complex)
+    return x, np.exp(0.7j) * np.diag([0.5 * np.exp(-0.25j), 0.5 * np.exp(1j * beta), 0.05])
+
+
+@pytest.mark.parametrize("coupling", [1e-4, 1e-3, 0.0])
+@pytest.mark.parametrize("beta", [0.24, 0.2])
+def test_pair_model_converges_across_an_avoided_crossing(coupling, beta, monkeypatch):
+    # the minimum sits on the avoided crossing, beyond the reach of sigma_1's
+    # Taylor model from phi0 (5 evaluations with it at coupling 1e-4):
+    # the pair model reaches it in at most 3, and an exact crossing (coupling
+    # 0) is still found as a kink; both at the scan oracle's value
+    x, y = _avoided_crossing_pair(coupling, beta)
+    seen = _count_evaluations(monkeypatch)
+    got = phase_aligned_distance(x, y)
+    want = phase_scan_distance(x, y)
+    assert abs(got - want) <= 1e-12 * want + 1e-15, (got, want)
+    assert len(seen) <= 3
+
+
+def test_pair_model_holds_across_an_avoided_crossing():
+    # at phi0 the model is sigma_1 to second order, and out to 4 times its
+    # minimum's distance, across the avoided crossing, it tracks sigma_1 at
+    # least 100 times closer than sigma_1's Taylor quadratic does
+    x, y = _avoided_crossing_pair(1e-4, 0.2)
+    phi0 = float(np.angle(np.vdot(y, x)))
+    [[block]], _ = propagator._branches_and_minorants(x[None], y[None], np.exp(np.array([1j * phi0])))
+    s1, d1, r1, s2, _, _, k2 = block
+    curv = r1 + 2.0 * k2 / (s1 - s2)
+    at, h_min = propagator._pair_model(*block)
+    assert at(0.0) == pytest.approx((s1, d1, curv), rel=1e-12)
+    assert 0.0 < h_min and curv > 500.0
+    for h in h_min * np.array([-1.0, 0.25, 0.5, 1.0, 2.0, 4.0]):
+        sigma = np.linalg.svd(x - np.exp(1j * (phi0 + h)) * y, compute_uv=False)[0]
+        taylor = s1 + d1 * h + 0.5 * curv * h * h
+        assert abs(at(h)[0] - sigma) <= 1e-2 * abs(taylor - sigma), h
+
+
+def test_model_step_without_coupling_is_the_branch_step(rng):
+    # kappa = 0: each block's model is the larger of its two quadratic
+    # branches, and the step is the quadratic-branch step, bit for bit
+    for _ in range(300):
+        blocks = []
+        for _ in range(2):
+            s = np.sort(rng.uniform(0.0, 1.0, 2))[::-1]
+            d, r = rng.normal(0.0, 1.0, 2), rng.normal(0.5, 1.0, 2)
+            blocks.append((s[0], d[0], r[0], s[1], d[1], r[1], 0.0))
+        branches = [b[k : k + 3] for b in blocks for k in (0, 3)]
+        assert propagator._model_step(blocks)[0] == branch_model_step(branches)
 
 
 def test_block_distances_match_full_matrices():
