@@ -22,8 +22,7 @@ from .hilbert import (
 )
 from .jc_model import (
     ModelParams,
-    frame_atom,
-    frame_field,
+    frame_phases,
     h_full,
     h_rotated,
     h_rwa,
@@ -88,8 +87,7 @@ __all__ = [
     "error_report",
     "evolve",
     "expm_antiherm",
-    "frame_atom",
-    "frame_field",
+    "frame_phases",
     "gaussian_squeezing",
     "h_full",
     "h_rotated",

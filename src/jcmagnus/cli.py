@@ -254,7 +254,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     # construction (commutator_table), and the closed Omega_2 is built from
     # them, so every check that reads it keeps at least one guard level.
     buffer = max(cfg.buffer, 1)
-    diffs = [direct - closed for _, direct, closed in commutator_table(spec)]
+    table = commutator_table(spec)
+    diffs = [direct - closed for _, direct, closed in table]
     resid = float(_block_norms(diffs, cfg.fock_dim - buffer).max())
     record("COMMUTATOR_TABLE", resid <= 1e-12, resid)
 
@@ -287,8 +288,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
     record("OMEGA1_CLOSED_VS_QUADRATURE", resid <= 1e-9, resid)
 
-    # the quadrature Omega_2 from the integrals just checked, (g^2/2) sum I_k C_k
-    diff = omega2_closed(params, spec, t_oracle) - _omega2_from_integrals(quad, spec)
+    # the quadrature Omega_2 from the integrals just checked and the table's direct commutators
+    c1, c2, _, _, c5, c6 = (direct for _, direct, _ in table)
+    diff = omega2_closed(params, spec, t_oracle) - _omega2_from_integrals(quad, (c1, c2, c5, c6))
     resid = float(_block_norms([diff], cfg.fock_dim - buffer)[0])
     record("OMEGA2_CLOSED_VS_QUADRATURE", resid <= 1e-8, resid)
 

@@ -4,18 +4,23 @@ Conventions (hbar = 1 throughout, all energies in angular-frequency units):
 
   * full Hamiltonian     H = omega a^dag a + (omega0/2) sigma_z
                              + i g (a^dag - a)(sigma_+ + sigma_-)
-  * atom frame           U(t) = exp(-i omega0 t sigma_z / 2)
-  * field frame          V(t) = exp(-i omega t n)
-  * doubly rotated       H'(t) = g ( i a^dag sigma_- e^{i delta t}
+  * frame generator      F = omega n + omega0 sigma_z / 2, diagonal
+                             (frame_phases holds its diagonal)
+  * frame phase          D(t) = exp(i t F), the atom rotation
+                             exp(i omega0 t sigma_z / 2) and the field
+                             rotation exp(i omega t n) combined, as they commute
+  * doubly rotated       H'(t) = D(t) (H - F) D(t)^dag
+                               = g ( i a^dag sigma_- e^{i delta t}
                                    - i a sigma_+     e^{-i delta t}
                                    + i a^dag sigma_+ e^{i sigma t}
                                    - i a sigma_-     e^{-i sigma t} )
 
 with detuning delta = omega - omega0 and sum frequency sigma = omega + omega0.
 The RWA Hamiltonian keeps only the detuning-frequency pair.  The rotated
-Hamiltonian satisfies H'(t) = D(t) H'(0) D(t)^dag with the diagonal phase
-D(t) = exp(i t F), F = omega n + omega0 sigma_z / 2, so its propagator is
+Hamiltonian satisfies H'(t) = D(t) H'(0) D(t)^dag, so its propagator is
 D(t) exp(-i t (H'(0) + F)); the propagator module evaluates that identity.
+frame_phases is the one home of the frame: the propagators,
+rotation_chain_residual and verify_bch all read it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .hilbert import (
     adjoint,
     annihilation,
     creation,
-    number,
     pauli,
     spectral_norm,
     tensor,
@@ -38,8 +42,6 @@ from .hilbert import (
 
 __all__ = [
     "ModelParams",
-    "frame_atom",
-    "frame_field",
     "frame_phases",
     "h_full",
     "h_rotated",
@@ -95,25 +97,6 @@ def _interaction_blocks(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-@lru_cache(maxsize=16)
-def _second_order_operators(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
-    """The operators of the second-order generator (n sz, P_e, P_g, a^2 sz, a^dag^2 sz)."""
-    a = annihilation(spec)
-    ad = creation(spec)
-    eye_f = np.eye(spec.fock_dim, dtype=complex)
-    sz = pauli("z")
-    ops = (
-        tensor(number(spec), sz),
-        tensor(eye_f, pauli("proj_e")),
-        tensor(eye_f, pauli("proj_g")),
-        tensor(a @ a, sz),
-        tensor(ad @ ad, sz),
-    )
-    for op in ops:
-        op.setflags(write=False)
-    return ops
-
-
 def h_full(params: ModelParams, spec: HilbertSpec) -> np.ndarray:
     """Lab-frame Hamiltonian: field + atom + dipole interaction."""
     a = annihilation(spec)
@@ -157,48 +140,32 @@ def frame_phases(params: ModelParams, spec: HilbertSpec) -> np.ndarray:
     return (params.omega * n[:, None] + params.omega0 * sz[None, :]).reshape(-1)
 
 
-def frame_atom(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
-    """Atom-rotation unitary U(t) = exp(-i omega0 t sigma_z / 2), lifted and diagonal."""
-    sz_diag = np.array([1.0, -1.0])
-    phases = np.exp(-0.5j * params.omega0 * t * sz_diag)
-    return np.diag(np.tile(phases, spec.fock_dim)).astype(complex)
-
-
-def frame_field(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
-    """Field-rotation unitary V(t) = exp(-i omega t n), lifted and diagonal."""
-    n = np.arange(spec.fock_dim, dtype=float)
-    phases = np.exp(-1j * params.omega * t * n)
-    return np.diag(np.repeat(phases, 2)).astype(complex)
-
-
 def verify_bch(params: ModelParams, spec: HilbertSpec, t: float) -> float:
     """Residual of the field-rotation ladder identities.
 
-    Checks V^dag (a x I) V = e^{-i omega t} (a x I) and the adjoint identity;
-    both hold exactly even under truncation because V is diagonal, so the
-    returned residual is rounding-level.
+    Checks V^dag (a x I) V = e^{-i omega t} (a x I) and the adjoint identity
+    with V = D(t)^dag = exp(-i t F), held as its diagonal v; the atom part of
+    the frame commutes with a x I.  Both hold exactly even under truncation
+    because V is diagonal, so the returned residual is rounding-level.
     """
-    v = frame_field(params, spec, t)
+    v = np.exp(-1j * t * frame_phases(params, spec))
     a_full = tensor(annihilation(spec), np.eye(2, dtype=complex))
-    vd = adjoint(v)
-    r1 = spectral_norm(vd @ a_full @ v - np.exp(-1j * params.omega * t) * a_full)
     ad_full = adjoint(a_full)
-    r2 = spectral_norm(vd @ ad_full @ v - np.exp(1j * params.omega * t) * ad_full)
+    r1 = spectral_norm(v.conj()[:, None] * a_full * v - np.exp(-1j * params.omega * t) * a_full)
+    r2 = spectral_norm(v.conj()[:, None] * ad_full * v - np.exp(1j * params.omega * t) * ad_full)
     return max(r1, r2)
 
 
 def rotation_chain_residual(params: ModelParams, spec: HilbertSpec, t: float) -> float:
     """Norm distance between h_rotated(t) and the numerically rotated h_full.
 
-    Applies the two frame rotations to h_full with their generator
-    subtractions and compares against the closed-form h_rotated.  This is the
+    Rotates h_full with the frame it subtracts, D(t) (h_full - F) D(t)^dag
+    with D(t) = exp(i t F) and F = diag(frame_phases), as phase products on
+    the entries, and compares against the closed-form h_rotated.  This is the
     module's core consistency theorem; the residual should sit at rounding
     level relative to ||h_full||.
     """
-    u = frame_atom(params, spec, t)
-    v = frame_field(params, spec, t)
-    z_full = tensor(np.eye(spec.fock_dim, dtype=complex), pauli("z"))
-    n_full = tensor(number(spec), np.eye(2, dtype=complex))
-    stage1 = adjoint(u) @ h_full(params, spec) @ u - 0.5 * params.omega0 * z_full
-    chained = adjoint(v) @ stage1 @ v - params.omega * n_full
+    phases = frame_phases(params, spec)
+    d = np.exp(1j * t * phases)
+    chained = d[:, None] * (h_full(params, spec) - np.diag(phases)) * d.conj()
     return spectral_norm(h_rotated(params, spec, t) - chained)

@@ -37,38 +37,44 @@ e^{i d t} -> 1 in the original numerator would drop the second term and does
 not reproduce the integral.  Below sigma t = 1 the formula's O(t) terms
 cancel, and zeta is summed from the Taylor series of its integrand instead.
 
-All six double integrals I1..I6 of the second-order construction are exposed,
-together with iterated composite-Simpson quadrature oracles of the defining
-time-ordered integrals over 0 <= t2 <= t1 <= t.  Every integrand is a sum of
-products e^{+-i x t1} e^{+-i y t2} with x, y in {delta, sigma}.  The oracles
-therefore share one pair of inner Simpson sums, E_x(t1) = sum_j w_j e^{i x t2_j}
-over a fresh grid on [0, t1] for each outer node (the sum for e^{-i x t2} is
-its conjugate, the weights being real), and finish each integral with an
-outer Simpson sum.  Each E_x is one chirp-z FFT convolution (_inner_sums),
-the same rule at O(n log n) cost.  No closed-form antiderivative enters;
-tests/oracles.py evaluates each integrand, and the inner sums, on full grids.
+The double integrals I1, I2, I5, I6 of the second-order construction are
+exposed, together with iterated composite-Simpson quadrature oracles of the
+defining time-ordered integrals over 0 <= t2 <= t1 <= t.  I3 and I4 multiply
+block commutators that vanish identically for a two-level atom
+(sigma_+^2 = sigma_-^2 = 0), so neither path computes them.  Every integrand
+is a sum of products e^{+-i x t1} e^{+-i y t2} with x, y in {delta, sigma}.
+The oracles therefore share one pair of inner Simpson sums,
+E_x(t1) = sum_j w_j e^{i x t2_j} over a fresh grid on [0, t1] for each outer
+node (the sum for e^{-i x t2} is its conjugate, the weights being real), and
+finish each integral with an outer Simpson sum.  Each E_x is one chirp-z FFT
+convolution (_inner_sums), the same rule at O(n log n) cost.  No closed-form
+antiderivative enters; tests/oracles.py evaluates each integrand, and the
+inner sums, on full grids.
 
-The operator oracles need no operator-valued time stacks.  h_rotated(t) is
-g sum_i c_i(t) B_i over the four constant coupling blocks B_i, so by
-bilinearity of the commutator
+Omega_2 has one formula.  h_rotated(t) is g sum_i c_i(t) B_i over the four
+constant coupling blocks B_i, so by bilinearity of the commutator
 
-  -1/2 int int [h(t1), h(t2)] = (g^2/2) sum_k I_k C_k,
+  -1/2 int int [h(t1), h(t2)] = (g^2/2) (I1 C1 + I2 C2 + I5 C5 + I6 C6),
 
-where C_k are the six block commutators in the order of commutator_table,
-each computed directly.  The same nodes and weights give Omega_2 from the
-quadrature I_k and Omega_1 from two scalar Simpson sums of e^{i d u} and
-e^{i s u}; only the summation order differs from stacking h_rotated.
+where C_k are the block commutators of commutator_table (_omega2_from_integrals).
+omega2_closed feeds it the closed integrals and the closed commutators
+-(n sz + P_e), -a^dag^2 sz, a^2 sz and n sz - P_g (_closed_commutators);
+omega2_quadrature feeds it the quadrature integrals and the commutators
+computed directly.  The same nodes and weights give Omega_1 from two scalar
+Simpson sums of e^{i d u} and e^{i s u}; only the summation order differs
+from stacking h_rotated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import HilbertSpec
-from .jc_model import ModelParams, _interaction_blocks, _second_order_operators
+from .hilbert import HilbertSpec, annihilation, creation, pauli, tensor
+from .jc_model import ModelParams, _interaction_blocks
 
 __all__ = [
     "IntegralSet",
@@ -106,17 +112,14 @@ _ZETA_COEF = np.array(
 
 @dataclass(frozen=True)
 class IntegralSet:
-    """The six time-ordered double integrals at time t, units time^2.
+    """The time-ordered double integrals that Omega_2 reads at time t, units time^2.
 
-    In the closed-form path i3 = i4 = 0 by convention (their commutator
-    multipliers vanish identically); the quadrature path stores their finite
-    values.  zeta is an alias for i2.
+    I3 and I4 are not computed: their block commutators vanish identically.
+    zeta is an alias for i2.
     """
 
     i1: complex
     i2: complex
-    i3: complex
-    i4: complex
     i5: complex
     i6: complex
     zeta: complex
@@ -203,7 +206,7 @@ def _zeta_closed(params: ModelParams, t: float) -> complex:
 
 
 def integrals_closed(params: ModelParams, t: float) -> IntegralSet:
-    """Closed-form I1..I6 at time t (t >= 0 and finite); i3 = i4 = 0 by convention."""
+    """Closed-form I1, I2, I5, I6 at time t (t >= 0 and finite)."""
     _check_time(t)
     i1 = -2j * _ramp(params.delta, t)
     i6 = -2j * _ramp(params.sigma, t)
@@ -211,8 +214,6 @@ def integrals_closed(params: ModelParams, t: float) -> IntegralSet:
     return IntegralSet(
         i1=complex(i1),
         i2=complex(zeta),
-        i3=0j,
-        i4=0j,
         i5=complex(np.conj(zeta)),
         i6=complex(i6),
         zeta=complex(zeta),
@@ -268,7 +269,7 @@ def _inner_sums(
 
 
 def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
-    """I1..I6 by double quadrature of their defining integrands (n panels).
+    """I1, I2, I5, I6 by double quadrature of their defining integrands (n panels).
 
     Iterated composite Simpson over the triangle 0 <= t2 <= t1 <= t.  Every
     integrand is a sum of products e^{+-i x t1} e^{+-i y t2} with x, y in
@@ -278,9 +279,6 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     This is the same quadrature, with the same nodes and weights, as
     evaluating each integrand on the full (n + 1)^2 grid, summed in a
     different order.
-
-    i3 and i4 are evaluated and stored even though their block commutators
-    vanish exactly, so only i1, i2, i5, i6 change the second-order generator.
     """
     _check_time(t)
     _check_quad_steps(n)
@@ -297,15 +295,11 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     i1 = outer(-p_d * e_d.conj() + p_d.conj() * e_d)
     # I2: e^{i (d t1 + s t2)} - e^{i (s t1 + d t2)}
     i2 = outer(p_d * e_s - p_s * e_d)
-    # I3: -e^{i (d t1 - s t2)} + e^{-i (s t1 - d t2)}
-    i3 = outer(-p_d * e_s.conj() + p_s.conj() * e_d)
-    # I4: -e^{i (s t1 - d t2)} + e^{-i (d t1 - s t2)}
-    i4 = outer(-p_s * e_d.conj() + p_d.conj() * e_s)
     # I5: e^{-i (d t1 + s t2)} - e^{-i (s t1 + d t2)}
     i5 = outer(p_d.conj() * e_s.conj() - p_s.conj() * e_d.conj())
     # I6: -e^{i s (t1 - t2)} + e^{-i s (t1 - t2)}
     i6 = outer(-p_s * e_s.conj() + p_s.conj() * e_s)
-    return IntegralSet(i1=i1, i2=i2, i3=i3, i4=i4, i5=i5, i6=i6, zeta=i2, params=params)
+    return IntegralSet(i1=i1, i2=i2, i5=i5, i6=i6, zeta=i2, params=params)
 
 
 def omega1_closed(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
@@ -318,18 +312,8 @@ def omega1_closed(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarra
 
 
 def omega2_closed(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
-    """Second-order generator: Stark and Bloch-Siegert shifts plus squeezing."""
-    _check_time(t)
-    n_sz, pe, pg, a2_sz, ad2_sz = _second_order_operators(spec)
-    g2 = params.g * params.g
-    fd = _ramp(params.delta, t)
-    fs = _ramp(params.sigma, t)
-    zeta = _zeta_closed(params, t)
-    return (
-        1j * g2 * fd * (n_sz + pe)
-        + 1j * g2 * fs * (-n_sz + pg)
-        + 0.5 * g2 * (np.conj(zeta) * a2_sz - zeta * ad2_sz)
-    )
+    """Second-order generator, Stark and Bloch-Siegert shifts plus squeezing, from the closed I_k and C_k."""
+    return _omega2_from_integrals(integrals_closed(params, t), _closed_commutators(spec))
 
 
 def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> np.ndarray:
@@ -351,22 +335,36 @@ def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int =
     return params.g * (sd * ad_sm - np.conj(sd) * a_sp + ss * ad_sp - np.conj(ss) * a_sm)
 
 
-def _block_commutators(spec: HilbertSpec) -> list[np.ndarray]:
-    """The six direct commutators of the coupling blocks, in commutator_table order."""
-    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
-    pairs = ((ad_sm, a_sp), (ad_sm, ad_sp), (ad_sm, a_sm), (ad_sp, a_sp), (a_sp, a_sm), (ad_sp, a_sm))
-    return [x @ y - y @ x for x, y in pairs]
+@lru_cache(maxsize=16)
+def _closed_commutators(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
+    """Closed forms of C1, C2, C5, C6: -(n sz + P_e), -a^dag^2 sz, a^2 sz and n sz - P_g.
 
-
-def _omega2_from_integrals(ints: IntegralSet, spec: HilbertSpec) -> np.ndarray:
-    """(g^2/2) sum_k I_k C_k: the second-order generator from the six integrals.
-
-    By bilinearity of the commutator this is -1/2 times the double integral
-    of [h_rotated(t1), h_rotated(t2)] for whatever rule produced the I_k.
+    They take [a, a^dag] = 1, which the truncated ladder breaks at the top
+    Fock level.  Built once per spec and read-only, like _interaction_blocks.
     """
-    coeffs = (ints.i1, ints.i2, ints.i3, ints.i4, ints.i5, ints.i6)
+    a = annihilation(spec)
+    n = np.arange(spec.fock_dim, dtype=float)  # C1 and C6 are diagonal: (excited, ground) entries per level n
+    ops = (
+        np.diag(np.stack((-(n + 1.0), n), axis=1).reshape(-1)).astype(complex),
+        -tensor(creation(spec) @ creation(spec), pauli("z")),
+        tensor(a @ a, pauli("z")),
+        np.diag(np.stack((n, -(n + 1.0)), axis=1).reshape(-1)).astype(complex),
+    )
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
+def _omega2_from_integrals(ints: IntegralSet, commutators: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(g^2/2) (I1 C1 + I2 C2 + I5 C5 + I6 C6): the second-order generator.
+
+    commutators are C1, C2, C5, C6 of commutator_table, closed or direct.  By
+    bilinearity of the commutator this is -1/2 times the double integral of
+    [h_rotated(t1), h_rotated(t2)] for whatever rule produced the I_k.
+    """
+    coeffs = (ints.i1, ints.i2, ints.i5, ints.i6)
     g2 = ints.params.g * ints.params.g
-    return 0.5 * g2 * sum(c * comm for c, comm in zip(coeffs, _block_commutators(spec)))
+    return 0.5 * g2 * sum(c * comm for c, comm in zip(coeffs, commutators))
 
 
 def omega2_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> np.ndarray:
@@ -374,12 +372,12 @@ def omega2_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int =
 
     Iterated composite Simpson over the triangle 0 <= t2 <= t1 <= t.
     h_rotated is g times a fixed combination of four constant blocks, so the
-    commutator integral is (g^2/2) sum_k I_k C_k with the quadrature
-    integrals of integrals_quadrature and the six block commutators C_k
-    computed directly; no closed-form antiderivative or operator identity
-    enters.
+    commutator integral is _omega2_from_integrals of the quadrature integrals
+    of integrals_quadrature and the direct column of commutator_table; no
+    closed-form antiderivative or operator identity enters.
     """
-    return _omega2_from_integrals(integrals_quadrature(params, t, n), spec)
+    c1, c2, _, _, c5, c6 = (direct for _, direct, _ in commutator_table(spec))
+    return _omega2_from_integrals(integrals_quadrature(params, t, n), (c1, c2, c5, c6))
 
 
 def commutator_table(spec: HilbertSpec) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -387,18 +385,22 @@ def commutator_table(spec: HilbertSpec) -> list[tuple[str, np.ndarray, np.ndarra
 
     Returns (label, direct, closed) triples.  The two routes agree exactly for
     the entries that never touch [a, a^dag]; the others agree away from the
-    top Fock level, i.e. on any buffered subspace.
+    top Fock level, i.e. on any buffered subspace.  C3 and C4 vanish because
+    sigma_-^2 = sigma_+^2 = 0, so their closed form is zero.
     """
-    n_sz, pe, pg, a2_sz, ad2_sz = _second_order_operators(spec)
+    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
+    c1, c2, c5, c6 = (c.copy() for c in _closed_commutators(spec))
     zero = np.zeros((spec.dim, spec.dim), dtype=complex)
-    direct = _block_commutators(spec)
     return [
-        ("[ad sm, a sp]", direct[0], -(n_sz + pe)),
-        ("[ad sm, ad sp]", direct[1], -ad2_sz),
-        ("[ad sm, a sm]", direct[2], zero.copy()),
-        ("[ad sp, a sp]", direct[3], zero.copy()),
-        ("[a sp, a sm]", direct[4], a2_sz.copy()),
-        ("[ad sp, a sm]", direct[5], n_sz - pg),
+        (label, x @ y - y @ x, closed)
+        for label, x, y, closed in (
+            ("[ad sm, a sp]", ad_sm, a_sp, c1),
+            ("[ad sm, ad sp]", ad_sm, ad_sp, c2),
+            ("[ad sm, a sm]", ad_sm, a_sm, zero),
+            ("[ad sp, a sp]", ad_sp, a_sp, zero.copy()),
+            ("[a sp, a sm]", a_sp, a_sm, c5),
+            ("[ad sp, a sm]", ad_sp, a_sm, c6),
+        )
     ]
 
 

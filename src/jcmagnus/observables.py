@@ -22,7 +22,7 @@ from .hilbert import (
     tensor,
 )
 from .jc_model import ModelParams
-from .magnus import _ramp, integrals_closed, omega2_closed, shift_rates
+from .magnus import IntegralSet, integrals_closed, omega2_closed, shift_rates
 from .propagator import propagator_bundle, unitarity_defect
 
 __all__ = [
@@ -147,8 +147,8 @@ def _variance_extrema(psi: StateVector) -> tuple[float, float, float]:
     return mid - half, _min_angle(c), mid + half
 
 
-def _sector_xi(params: ModelParams, t: float, atom: str) -> tuple[int, complex]:
-    """sz of the atom sector and its squeeze amplitude xi = g^2 zeta sz.
+def _sector_xi(params: ModelParams, t: float, atom: str) -> tuple[int, complex, IntegralSet]:
+    """sz of the atom sector, its squeeze amplitude xi = g^2 zeta sz and the closed integrals.
 
     On a sigma_z eigenstate the two-photon part of Omega_2 is
     (xi^* a^2 - xi a^dag^2)/2, a squeeze of magnitude r = |xi| at angle arg(xi)/2.
@@ -156,7 +156,8 @@ def _sector_xi(params: ModelParams, t: float, atom: str) -> tuple[int, complex]:
     if atom not in _ATOM_INDEX:
         raise ValueError(f"atom must be 'e' or 'g', got {atom!r}")
     sz = 1 if atom == "e" else -1
-    return sz, params.g * params.g * integrals_closed(params, t).zeta * sz
+    ints = integrals_closed(params, t)
+    return sz, params.g * params.g * ints.zeta * sz, ints
 
 
 def _squeezing(xi: complex, extrema: tuple[float, float, float]) -> SqueezingReport:
@@ -184,7 +185,7 @@ def squeezing_report(
     commands read those; this readout is their independent check.  Needs
     fock_dim >= 16 so the squeezed vacuum tail fits.
     """
-    _, xi = _sector_xi(params, t, atom)
+    _, xi, _ = _sector_xi(params, t, atom)
     if spec.fock_dim < 16:
         raise ValueError(f"fock_dim must be >= 16 for the squeezing readout, got {spec.fock_dim}")
     om2 = omega2_closed(params, spec, t)
@@ -209,9 +210,9 @@ def gaussian_squeezing(params: ModelParams, t: float, atom: str) -> SqueezingRep
     e^{-2r}/4 with r = |xi| is the phi -> 0 limit of var_min: the number
     phase does not commute with the squeeze.
     """
-    # _sector_xi first: its integrals_closed rejects a negative or non-finite t before _ramp sees it
-    sz, xi = _sector_xi(params, t, atom)
-    phi = sz * params.g * params.g * (_ramp(params.delta, t) - _ramp(params.sigma, t))
+    sz, xi, ints = _sector_xi(params, t, atom)
+    # f(delta, t) - f(sigma, t) from I1 = -2i f(delta, t) and I6 = -2i f(sigma, t), exactly
+    phi = sz * params.g * params.g * (-0.5 * (ints.i1 - ints.i6).imag)
     kappa = np.sqrt(complex(abs(xi) ** 2 - phi * phi))
     ratio = np.sinh(kappa) / kappa if kappa != 0 else 1.0
     mu = complex(np.cosh(kappa) + ratio * 1j * phi)

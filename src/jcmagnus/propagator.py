@@ -574,9 +574,7 @@ def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> Propa
     Magnus orders, and all blocks go in one _expm_blockwise call.  A
     negative or non-finite t raises ValueError.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be non-negative and finite, got {t}")
-    omega1 = omega1_closed(params, spec, t)
+    omega1 = omega1_closed(params, spec, t)  # rejects a negative or non-finite t
     gens = [omega1, omega1 + omega2_closed(params, spec, t)]
     n = spec.fock_dim
     if t == 0.0 or params.g == 0.0:

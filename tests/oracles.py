@@ -234,7 +234,7 @@ def inner_sums_grid(params, t: float, n: int):
 
 
 def integrals_triangle_rule(params, t: float, n: int) -> IntegralSet:
-    """I1..I6 with each defining integrand evaluated on its own (n + 1)^2 grid."""
+    """I1, I2, I5, I6 with each defining integrand evaluated on its own (n + 1)^2 grid."""
     d, s = params.delta, params.sigma
 
     def e(x):
@@ -242,8 +242,6 @@ def integrals_triangle_rule(params, t: float, n: int) -> IntegralSet:
 
     i1 = triangle_quadrature(lambda t1, t2: -e(d * (t1 - t2)) + e(-d * (t1 - t2)), t, n)
     i2 = triangle_quadrature(lambda t1, t2: e(d * t1 + s * t2) - e(s * t1 + d * t2), t, n)
-    i3 = triangle_quadrature(lambda t1, t2: -e(d * t1 - s * t2) + e(-(s * t1 - d * t2)), t, n)
-    i4 = triangle_quadrature(lambda t1, t2: -e(s * t1 - d * t2) + e(-(d * t1 - s * t2)), t, n)
     i5 = triangle_quadrature(lambda t1, t2: e(-(d * t1 + s * t2)) - e(-(s * t1 + d * t2)), t, n)
     i6 = triangle_quadrature(lambda t1, t2: -e(s * (t1 - t2)) + e(-s * (t1 - t2)), t, n)
-    return IntegralSet(i1=i1, i2=i2, i3=i3, i4=i4, i5=i5, i6=i6, zeta=i2, params=params)
+    return IntegralSet(i1=i1, i2=i2, i5=i5, i6=i6, zeta=i2, params=params)

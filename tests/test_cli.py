@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from jcmagnus import cli, magnus, observables, propagator
+from jcmagnus import cli, jc_model, magnus, observables, propagator
 from jcmagnus.cli import SWEEP_FIELDS, RunConfig, _build_parser, build_config, load_config_file, main
 from jcmagnus.hilbert import HilbertSpec
 from jcmagnus.jc_model import ModelParams
@@ -260,29 +260,37 @@ def test_every_config_field_has_a_key_and_a_flag(tmp_path):
         assert type(getattr(from_file, name)) is type(getattr(from_flag, name)) is type(value), name
 
 
-def test_zeta_is_evaluated_twice_per_row(monkeypatch, capsys):
-    # a row takes zeta once for its own columns and once for the squeeze
-    # amplitude xi, from which both r_pred and theta_pred follow; a default
-    # verify adds its closed integrals, the two resonance probes and one
-    # xi per squeezing readout (two atoms, two readouts)
-    calls = []
-    real = magnus.integrals_closed
+def test_zeta_is_evaluated_through_integrals_closed(monkeypatch, capsys):
+    # every zeta goes through integrals_closed: a row takes it for its own
+    # columns, for the squeeze amplitude xi (r_pred and theta_pred) and for
+    # the bundle's closed Omega_2; a default verify adds its closed
+    # integrals, the two resonance probes, one xi per squeezing readout and
+    # the closed Omega_2 of its generators and bundles
+    calls, zetas = [], []
+    real, real_zeta = magnus.integrals_closed, magnus._zeta_closed
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
+    def counting_zeta(*args):
+        zetas.append(args)
+        return real_zeta(*args)
+
     for module in (magnus, cli, observables):
         monkeypatch.setattr(module, "integrals_closed", counting)
+    monkeypatch.setattr(magnus, "_zeta_closed", counting_zeta)
     cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
-    assert len(calls) == 2
+    assert len(calls) == len(zetas) == 3
     calls.clear()
+    zetas.clear()
     assert cli.cmd_report(RunConfig()) == 0
-    assert len(calls) == 2
+    assert len(calls) == len(zetas) == 3
     calls.clear()
+    zetas.clear()
     assert cli.cmd_verify(RunConfig()) == 0
     capsys.readouterr()
-    assert len(calls) == 7
+    assert len(calls) == len(zetas) == 16
 
 
 def test_grid_flag_parsing(tmp_path):
@@ -426,15 +434,32 @@ def test_verify_buffer_zero_catches_flipped_squeeze(monkeypatch, capsys):
 
     def flipped(params, spec, t):
         res = real_omega2(params, spec, t)
-        *_, a2_sz, ad2_sz = magnus._second_order_operators(spec)
+        # the squeeze term (g^2/2) (zeta^* C5 + zeta C2) with C5 = a^2 sz, C2 = -a^dag^2 sz
+        _, c2, c5, _ = magnus._closed_commutators(spec)
         zeta, g2 = magnus.integrals_closed(params, t).zeta, params.g * params.g
-        return res - g2 * (np.conj(zeta) * a2_sz - zeta * ad2_sz)
+        return res - g2 * (np.conj(zeta) * c5 + zeta * c2)
 
     monkeypatch.setattr(cli, "omega2_closed", flipped)
     monkeypatch.setattr(propagator, "omega2_closed", flipped)
     assert main(["verify", "--buffer", "0"]) == 1
     status = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines())
     assert status["OMEGA2_CLOSED_VS_QUADRATURE"] == status["ERROR_SCALING"] == "FAIL"
+
+
+def test_verify_rotation_chain_reads_the_propagators_frame(monkeypatch, capsys):
+    # ROTATION_CHAIN checks the frame the propagators use: a frame_phases
+    # with the sigma_z sign flipped fails it directly
+    real = jc_model.frame_phases
+
+    def flipped(params, spec):
+        # omega n - omega0 sigma_z / 2 in place of omega n + omega0 sigma_z / 2
+        return real(params, spec) - params.omega0 * np.tile([1.0, -1.0], spec.fock_dim)
+
+    monkeypatch.setattr(jc_model, "frame_phases", flipped)
+    monkeypatch.setattr(propagator, "frame_phases", flipped)
+    assert main(["verify"]) == 1
+    status = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines())
+    assert status["ROTATION_CHAIN"] == "FAIL"
 
 
 @pytest.mark.parametrize("t", ["1e-6", "1e-4", "1e-3"])

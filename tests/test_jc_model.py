@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from jcmagnus.hilbert import HilbertSpec, annihilation, creation, pauli, spectral_norm, tensor
+from jcmagnus.hilbert import ATOM_EXCITED, ATOM_GROUND, HilbertSpec, annihilation, creation, pauli, spectral_norm, tensor
 from jcmagnus.jc_model import (
     ModelParams,
-    frame_atom,
-    frame_field,
     frame_phases,
     h_full,
     h_rotated,
@@ -131,17 +129,17 @@ def test_rwa_residual_linear_in_g():
 
 
 def test_frames_basic():
+    # D(t) = exp(i t frame_phases) is the identity at t = 0, F has the entries
+    # omega n +- omega0 / 2, and the atom rotation is -1 after one atomic period
     spec = HilbertSpec(5)
     p = ModelParams(1.7, 0.9, 0.02)
-    assert np.allclose(frame_atom(p, spec, 0.0), np.eye(10), atol=1e-15)
-    assert np.allclose(frame_field(p, spec, 0.0), np.eye(10), atol=1e-15)
-    t = 0.63
-    v = frame_field(p, spec, t)
+    phases = frame_phases(p, spec)
+    assert np.array_equal(np.exp(1j * 0.0 * phases), np.ones(10))
     for n in range(5):
-        idx = spec.index(n, 0)
-        assert v[idx, idx] == pytest.approx(np.exp(-1j * p.omega * n * t), abs=1e-14)
-    u = frame_atom(p, spec, 2.0 * np.pi / p.omega0)
-    assert np.allclose(u, -np.eye(10), atol=1e-12)
+        assert phases[spec.index(n, ATOM_EXCITED)] == pytest.approx(p.omega * n + 0.5 * p.omega0, abs=1e-14)
+        assert phases[spec.index(n, ATOM_GROUND)] == pytest.approx(p.omega * n - 0.5 * p.omega0, abs=1e-14)
+    atom = phases - p.omega * np.repeat(np.arange(5), 2)
+    assert np.allclose(np.exp(1j * (2.0 * np.pi / p.omega0) * atom), -np.ones(10), atol=1e-12)
 
 
 def test_verify_bch():

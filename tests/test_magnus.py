@@ -51,12 +51,11 @@ def test_integrals_closed_frozen_values():
     ints = integrals_closed(ModelParams(1.0, 0.5, 0.05), 1.0)
     assert ints.zeta == pytest.approx(ZETA_1_05_T1, abs=1e-12)
     assert ints.i2 == ints.zeta
-    assert ints.i3 == 0j and ints.i4 == 0j
 
 
 def test_integrals_closed_at_t0():
     ints = integrals_closed(ModelParams(1.0, 0.8, 0.05), 0.0)
-    for name in ("i1", "i2", "i3", "i4", "i5", "i6"):
+    for name in ("i1", "i2", "i5", "i6"):
         assert getattr(ints, name) == 0j
     with pytest.raises(ValueError):
         integrals_closed(ModelParams(1.0, 0.8, 0.05), -0.1)
@@ -85,8 +84,6 @@ def test_integrals_quadrature_matches_closed():
     quad = integrals_quadrature(p, 2.0, 2048)
     for name in ("i1", "i2", "i5", "i6"):
         assert abs(getattr(closed, name) - getattr(quad, name)) <= 1e-8
-    # i3/i4 are finite in the quadrature path but defined 0 in the closed path
-    assert np.isfinite(quad.i3.real) and np.isfinite(quad.i4.imag)
 
 
 def test_integrals_quadrature_matches_literal_triangle_rule():
@@ -98,7 +95,7 @@ def test_integrals_quadrature_matches_literal_triangle_rule():
             for n in (64, 256):
                 fast = integrals_quadrature(p, t, n)
                 literal = integrals_triangle_rule(p, t, n)
-                for name in ("i1", "i2", "i3", "i4", "i5", "i6"):
+                for name in ("i1", "i2", "i5", "i6"):
                     diff = abs(getattr(fast, name) - getattr(literal, name))
                     assert diff <= 1e-14, (w0, t, n, name)
 
