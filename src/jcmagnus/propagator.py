@@ -35,12 +35,19 @@ distances in lockstep, one stacked full-SVD call per round, whose singular
 pairs bound the distance from below at every phase and so rule phases out in
 closed form.  block_distances slices x and y from the block corners;
 phase_aligned_distances gathers full-matrix windows into them, per block shape.
+
+Threads.  From block side 20 (search) and 40 (exponentials) on, with two
+usable CPUs, _in_halves runs half of the pairs or eigh calls on a second
+thread, since LAPACK releases the interpreter lock; values stay bit-identical.
+Fock-12 rows and verify, bound by that lock, stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -74,6 +81,9 @@ _ULPS = 4
 # Cap on each stacked operand of the distances' LAPACK calls: small blocks
 # stack fully, blocks above it go one per call.
 _STACK_BYTES = 128 * 1024
+# Block sides from which the distance search and the exponentials split their
+# work across two threads (_in_halves); below them a thread slows them down.
+_SEARCH_THREAD_SIDE, _EXPM_THREAD_SIDE = 20, 40
 # The distances error_report tabulates: name -> the positions in
 # PropagatorBundle.blocks of the two compared (the first three are the errors
 # against u_exact).
@@ -159,20 +169,52 @@ def project_buffer(spec: HilbertSpec, buffer: int) -> np.ndarray:
     return np.diag(np.repeat(keep, 2).astype(complex))
 
 
+def _in_halves(job, count: int, side: int, crossover: int) -> list:
+    """job(0, count), or job(0, half) + job(half, count) with the second half on a worker thread.
+
+    job(lo, hi) returns a list.  Halves run only with two usable CPUs, two
+    items and a block side of at least crossover.  The worker is joined before
+    this returns, and an exception it raised is raised here.
+    """
+    # os.sched_getaffinity, which counts the CPUs this process may use, is not on every platform
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if count < 2 or side < crossover or cpus < 2:
+        return job(0, count)
+    half, second = (count + 1) // 2, []
+
+    def run() -> None:
+        try:
+            second.append(job(half, count))
+        except BaseException as exc:  # raised again in the caller, after the join
+            second.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        first = job(0, half)
+    finally:
+        worker.join()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return first + second[0]
+
+
 def _expm_blockwise(gens: list[np.ndarray]) -> np.ndarray:
     """exp(G) of each parity-conserving anti-Hermitian G on 2 N states, as its blocks, shape (len(gens), 2, N, N).
 
     All blocks go in one stacked expm_antiherm call when they fit in _STACK_BYTES,
-    else one generator's two blocks per call (all eight measured slower).
+    else one generator's two blocks per call (all eight measured slower).  At
+    N >= _EXPM_THREAD_SIDE _in_halves runs half of the calls on a second
+    thread; stacked eigh is bit-identical per matrix, so the split changes no bit.
     """
     blocks, couples = _gather(gens, gens[0].shape[0] // 2)
     if np.any(couples):
         raise ValueError("generator couples the two excitation-parity blocks")
     stack = blocks.reshape(-1, *blocks.shape[2:])
     per = len(stack) if stack.nbytes <= _STACK_BYTES else 2
-    for lo in range(0, len(stack), per):
-        stack[lo : lo + per] = expm_antiherm(stack[lo : lo + per])
-    return blocks
+    starts = range(0, len(stack), per)
+    calls = lambda lo, hi: [expm_antiherm(stack[k : k + per]) for k in starts[lo:hi]]  # noqa: E731
+    return np.concatenate(_in_halves(calls, len(starts), stack.shape[-1], _EXPM_THREAD_SIDE)).reshape(blocks.shape)
 
 
 def u_exact(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
@@ -450,14 +492,22 @@ def _phase_search(phi0: float, margin: float):
 
 
 def _search(x: np.ndarray, y: np.ndarray) -> list[float]:
-    """The phase-aligned distance of each pair (x[p], y[p]): its _phase_search, all run in lockstep.
+    """The phase-aligned distance of each pair (x[p], y[p]): its _phase_search, run in lockstep.
 
     x and y, shape (pairs, blocks, n, n), hold the blocks of each pair's two
     matrices, A and B; the distance is min over phi of the largest block's
     ||A_b - e^{i phi} B_b||.  A pair starts at phi0 = arg sum_b tr(B_b^dag A_b),
     and its margin is 4 eps max_b (||A_b||_F + ||B_b||_F).  A round evaluates
     every phase asked for in stacked calls over all blocks, _STACK_BYTES each.
+    At n >= _SEARCH_THREAD_SIDE _in_halves searches two contiguous groups of
+    pairs on two threads; a pair's distance does not depend on its batch, bit
+    for bit, so the split changes no value.
     """
+    return _in_halves(lambda lo, hi: _lockstep(x[lo:hi], y[lo:hi]), len(x), x.shape[-1], _SEARCH_THREAD_SIDE)
+
+
+def _lockstep(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """_search on one thread: the searches of all pairs advance one round per stacked evaluation."""
     nb, n = x.shape[1], x.shape[-1]
     norms = np.linalg.norm(x, axis=(2, 3)) + np.linalg.norm(y, axis=(2, 3))
     margins = 4.0 * np.finfo(float).eps * norms.max(axis=1)

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,3 +34,18 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"commutator needs matching square matrices, got {a.shape} and {b.shape}")
     return a @ b - b @ a
+
+
+def count_thread_starts(monkeypatch, cpus: int | None = None) -> list:
+    """The threads started from now on, as a growing list; with cpus, that many CPUs look usable."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return started

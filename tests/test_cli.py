@@ -13,6 +13,7 @@ from jcmagnus.hilbert import HilbertSpec
 from jcmagnus.jc_model import ModelParams
 from jcmagnus.observables import bs_phase_probe, squeezing_report
 from jcmagnus.propagator import error_report, phase_aligned_distances, project_buffer, propagator_bundle
+from conftest import count_thread_starts
 
 FAST = ["--fock-dim", "8", "--quad-steps", "256"]
 
@@ -661,3 +662,46 @@ def test_row_squeezing_matches_fock_readout():
             assert abs(row.var_max - rep.var_max) <= 2e-13, (omega0, g, t, fock)
             dtheta = abs(row.theta_min - rep.theta_min) % math.pi
             assert min(dtheta, math.pi - dtheta) <= 1e-8, (omega0, g, t, fock)
+
+
+def test_no_warning_where_the_series_does_not_converge(capsys):
+    # err_magnus2 > err_magnus1 here, but t ||h_rotated(0)|| / pi = 2.17: the
+    # series does not converge, so the order of the errors is no defect
+    row = cli.compute_row(RunConfig(fock_dim=24), 1.0, 0.2, 4.0)
+    assert row.err_magnus2 > row.err_magnus1
+    assert capsys.readouterr().err == ""
+
+
+def test_warning_inside_the_premise(monkeypatch, capsys):
+    # at the default point t ||h_rotated(0)|| / pi = 0.0875, so an
+    # err_magnus2 above err_magnus1 warns and prints that premise
+    monkeypatch.setattr(cli, "block_distances", lambda blocks, pairs, buffer: [0.3, 0.1, 0.2])
+    cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
+    assert capsys.readouterr().err == (
+        "warning: err_magnus2 > err_magnus1 at omega0=0.8 g=0.05 t=1.0 (t ||h_rotated(0)|| / pi = 0.0875)\n"
+    )
+
+
+def test_default_row_and_verify_start_no_thread(monkeypatch, capsys):
+    # at fock 12 the phase search is bound by the interpreter lock, so rows
+    # and verify stay on the calling thread
+    started = count_thread_starts(monkeypatch)
+    cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
+    assert cli.cmd_verify(RunConfig()) == 0
+    capsys.readouterr()
+    assert started == []
+
+
+def test_one_usable_cpu_gives_the_same_report_serially(monkeypatch, capsys):
+    # a fock-48 report runs its searches and exponentials on two threads with
+    # two CPUs, on one thread with one, and prints the same text
+    cfg = RunConfig(fock_dim=48)
+    started = count_thread_starts(monkeypatch, cpus=2)
+    assert cli.cmd_report(cfg) == 0
+    threaded = capsys.readouterr().out
+    assert len(started) == 2
+    started.clear()
+    monkeypatch.setattr(propagator.os, "sched_getaffinity", lambda pid: {0})
+    assert cli.cmd_report(cfg) == 0
+    assert started == []
+    assert capsys.readouterr().out == threaded

@@ -1,13 +1,14 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from jcmagnus import propagator
 from jcmagnus.cli import _block_norms
-from jcmagnus.hilbert import HilbertSpec, annihilation, creation, spectral_norm, tensor
-from jcmagnus.jc_model import ModelParams, frame_phases, h_rwa
+from jcmagnus.hilbert import HilbertSpec, annihilation, creation, expm_antiherm, spectral_norm, tensor
+from jcmagnus.jc_model import ModelParams, frame_phases, h_rotated, h_rwa
 from jcmagnus.magnus import (
     integrals_closed,
     integrals_quadrature,
@@ -21,6 +22,7 @@ from jcmagnus.observables import gaussian_squeezing, squeezing_report
 from jcmagnus.propagator import (
     _block_layout,
     _expm_blockwise,
+    _gather,
     block_distances,
     error_report,
     phase_aligned_distance,
@@ -32,7 +34,7 @@ from jcmagnus.propagator import (
     u_rwa,
     unitarity_defect,
 )
-from conftest import commutator, random_antihermitian, random_unitary
+from conftest import commutator, count_thread_starts, random_antihermitian, random_unitary
 from oracles import (
     branch_model_step,
     eigenphase_arc_distance,
@@ -713,3 +715,62 @@ def test_u_magnus2_is_single_exponential_of_sum():
     assert spectral_norm(u_magnus(p, spec, 1.0, 2) - expected) <= 1e-13
     product = expm_antiherm(om1) @ expm_antiherm(om2)
     assert spectral_norm(u_magnus(p, spec, 1.0, 2) - product) > 1e-6
+
+
+@pytest.mark.parametrize("fock", [24, 48, 96])
+def test_threaded_distances_equal_serial_searches(fock, monkeypatch):
+    # with two CPUs the six pairs are searched as two groups on two threads;
+    # each distance equals, bit for bit, a serial _search of its pair alone,
+    # from the block corners and from the full matrices alike
+    spec = HilbertSpec(fock)
+    bundle = propagator_bundle(ModelParams(1.0, 0.9, 0.05), spec, 1.0)
+    pairs = list(propagator._DISTANCE_PAIRS.values())
+    names = ("u_exact", "u_rwa", "u_magnus1", "u_magnus2")
+    keep = fock - propagator.DEFAULT_BUFFER
+    corners = bundle.blocks[:, :, :keep, :keep]
+    serial = [propagator._search(corners[[i]], corners[[j]])[0] for i, j in pairs]
+    started = count_thread_starts(monkeypatch, cpus=2)
+    assert block_distances(bundle.blocks, pairs) == serial
+    full = [(getattr(bundle, names[i]), getattr(bundle, names[j])) for i, j in pairs]
+    assert phase_aligned_distances(full, project_buffer(spec, propagator.DEFAULT_BUFFER)) == serial
+    assert len(started) == 2
+
+
+def test_threaded_exponentials_equal_single_calls(monkeypatch):
+    # at fock 48 the block stack is exponentiated in two halves on two
+    # threads, bit for bit as expm_antiherm of each generator's blocks
+    spec = HilbertSpec(48)
+    params = ModelParams(1.0, 0.9, 0.05)
+    omega1 = omega1_closed(params, spec, 1.0)
+    frame = -1j * (h_rotated(params, spec, 0.0) + np.diag(frame_phases(params, spec)))
+    gens = [frame, omega1, omega1 + omega2_closed(params, spec, 1.0)]
+    started = count_thread_starts(monkeypatch, cpus=2)
+    got = _expm_blockwise(gens)
+    assert len(started) == 1
+    for g, blocks in zip(gens, got):
+        assert np.array_equal(blocks, expm_antiherm(_gather([g], 48)[0][0]))
+
+
+def test_worker_thread_exceptions_reach_the_caller(monkeypatch):
+    # an exception raised on the worker thread is raised again, the same
+    # object, in the calling thread, by the distances and the exponentials
+    error = RuntimeError("raised on the worker")
+
+    def on_worker(real):
+        def wrapped(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return real(*args)
+
+        return wrapped
+
+    bundle = propagator_bundle(PARAMS, HilbertSpec(48), 1.0)
+    count_thread_starts(monkeypatch, cpus=2)
+    monkeypatch.setattr(propagator, "_branches_and_minorants", on_worker(propagator._branches_and_minorants))
+    with pytest.raises(RuntimeError) as info:
+        block_distances(bundle.blocks, list(propagator._DISTANCE_PAIRS.values()))
+    assert info.value is error
+    monkeypatch.setattr(propagator, "expm_antiherm", on_worker(propagator.expm_antiherm))
+    with pytest.raises(RuntimeError) as info:
+        propagator_bundle(PARAMS, HilbertSpec(48), 1.0)
+    assert info.value is error
