@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .hilbert import HilbertSpec, adjoint, spectral_norm
-from .jc_model import ModelParams, h_full, h_rotated, rotation_chain_residual, verify_bch
+from .jc_model import ModelParams, _bch_residuals, _rotation_chain, h_rotated
 from .magnus import (
     _omega2_from_integrals,
     commutator_table,
@@ -45,6 +45,7 @@ from .magnus import (
 from .observables import SqueezingReport, _bs_phase, gaussian_squeezing, squeezing_report
 from .propagator import (
     _DISTANCE_PAIRS,
+    _bundles,
     _gather,
     block_distances,
     project_buffer,
@@ -239,19 +240,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     # frame-rotation ladder identities
     rng = np.random.default_rng(_BCH_SEED)
-    bch_spec = HilbertSpec(min(cfg.fock_dim, 16))
-    resid = verify_bch(params, bch_spec, cfg.t)
-    for _ in range(2):
-        p = ModelParams(float(rng.uniform(0.5, 3.0)), cfg.omega0, cfg.g)
-        resid = max(resid, verify_bch(p, bch_spec, float(rng.uniform(0.0, 6.0))))
+    draws = [(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.0, 6.0))) for _ in range(2)]
+    points = [(params, cfg.t)] + [(ModelParams(omega, cfg.omega0, cfg.g), tp) for omega, tp in draws]
+    resid = max(_bch_residuals(HilbertSpec(min(cfg.fock_dim, 16)), points))
     record("BCH_RESIDUAL", resid <= 1e-12, resid)
 
-    # rotated Hamiltonian vs the numerically rotated full Hamiltonian
-    href = spectral_norm(h_full(params, spec))
-    resid = max(
-        rotation_chain_residual(params, spec, float(tp)) / href
-        for tp in np.linspace(0.0, cfg.t if cfg.t > 0 else 1.0, 5)
-    )
+    # rotated Hamiltonian vs the numerically rotated full Hamiltonian, relative to ||h_full||
+    href, *resids = _rotation_chain(params, spec, np.linspace(0.0, cfg.t if cfg.t > 0 else 1.0, 5).tolist())
+    resid = max(r / href for r in resids)
     record("ROTATION_CHAIN", resid <= 1e-12, resid)
 
     # block commutators: direct vs closed form on the buffered subspace.  The
@@ -314,19 +310,20 @@ def cmd_verify(cfg: RunConfig) -> int:
             resid = max(resid, abs(z - limit) / scale)
     record("RESONANCE_LIMIT", ok and resid <= 1e-5, resid)
 
-    # propagator unitarity at the configured point, gated on the convergence
-    # margin like the scaling checks
+    # propagator unitarity and order-by-order error scaling, gated on the convergence
+    # margin; one stacked exponential builds the bundles at g and at each probe coupling
+    gs = (0.01, 0.02, 0.04)
     if in_regime:
+        bundles = _bundles(spec, [(replace(params, g=gv), cfg.t) for gv in (cfg.g, *(gs if cfg.t > 0 else ()))])
         # U^dag U - I is block-diagonal, so its norm is the largest block's
-        resid = max(unitarity_defect(block) for u in propagator_bundle(params, spec, cfg.t).blocks for block in u)
+        resid = unitarity_defect(bundles[0].blocks.reshape(-1, cfg.fock_dim, cfg.fock_dim))
         record("UNITARITY", resid <= 1e-10, resid)
     else:
         skip("UNITARITY")
 
     # order-by-order error scaling: the err_magnus1 and err_magnus2 pairs of each probe coupling's bundle
     if in_regime and cfg.t > 0:
-        gs = (0.01, 0.02, 0.04)
-        blocks = np.concatenate([propagator_bundle(replace(params, g=gv), spec, cfg.t).blocks for gv in gs])
+        blocks = np.concatenate([bundle.blocks for bundle in bundles[1:]])
         orders = (_DISTANCE_PAIRS["err_magnus1"], _DISTANCE_PAIRS["err_magnus2"])
         pairs = [(k + i, k + j) for k in range(0, len(blocks), 4) for i, j in orders]
         errs = block_distances(blocks, pairs, buffer)
@@ -344,9 +341,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # squeezing readout against the exact Gaussian extrema of exp(Omega_2)
     if in_regime and cfg.t > 0:
         sq_spec = HilbertSpec(max(cfg.fock_dim, 24))
-        worst_var = 0.0
-        worst_theta = 0.0
-        product_resid = 0.0
+        worst_var = worst_theta = product_resid = 0.0
         for atom in ("e", "g"):
             rep = squeezing_report(params, sq_spec, cfg.t, atom)
             ref = gaussian_squeezing(params, cfg.t, atom)

@@ -36,7 +36,6 @@ from .hilbert import (
     annihilation,
     creation,
     pauli,
-    spectral_norm,
     tensor,
 )
 
@@ -148,12 +147,17 @@ def verify_bch(params: ModelParams, spec: HilbertSpec, t: float) -> float:
     the frame commutes with a x I.  Both hold exactly even under truncation
     because V is diagonal, so the returned residual is rounding-level.
     """
-    v = np.exp(-1j * t * frame_phases(params, spec))
-    a_full = tensor(annihilation(spec), np.eye(2, dtype=complex))
-    ad_full = adjoint(a_full)
-    r1 = spectral_norm(v.conj()[:, None] * a_full * v - np.exp(-1j * params.omega * t) * a_full)
-    r2 = spectral_norm(v.conj()[:, None] * ad_full * v - np.exp(1j * params.omega * t) * ad_full)
-    return max(r1, r2)
+    return max(_bch_residuals(spec, [(params, t)]))
+
+
+def _bch_residuals(spec: HilbertSpec, points: list[tuple[ModelParams, float]]) -> list[float]:
+    """The two residual norms of verify_bch at each (params, t) point, in order, from one stacked values-only SVD."""
+    a_full, mats = tensor(annihilation(spec), np.eye(2, dtype=complex)), []
+    for params, t in points:
+        v = np.exp(-1j * t * frame_phases(params, spec))
+        turns = ((a_full, np.exp(-1j * params.omega * t)), (adjoint(a_full), np.exp(1j * params.omega * t)))
+        mats += [v.conj()[:, None] * op * v - turn * op for op, turn in turns]
+    return np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist()
 
 
 def rotation_chain_residual(params: ModelParams, spec: HilbertSpec, t: float) -> float:
@@ -165,7 +169,12 @@ def rotation_chain_residual(params: ModelParams, spec: HilbertSpec, t: float) ->
     module's core consistency theorem; the residual should sit at rounding
     level relative to ||h_full||.
     """
-    phases = frame_phases(params, spec)
-    d = np.exp(1j * t * phases)
-    chained = d[:, None] * (h_full(params, spec) - np.diag(phases)) * d.conj()
-    return spectral_norm(h_rotated(params, spec, t) - chained)
+    return _rotation_chain(params, spec, [t])[1]
+
+
+def _rotation_chain(params: ModelParams, spec: HilbertSpec, times: list[float]) -> list[float]:
+    """[||h_full||, then rotation_chain_residual at each time]: one h_full, all norms from one stacked values-only SVD."""
+    phases, h = frame_phases(params, spec), h_full(params, spec)
+    shifted, ds = h - np.diag(phases), [np.exp(1j * t * phases) for t in times]
+    mats = [h] + [h_rotated(params, spec, t) - d[:, None] * shifted * d.conj() for t, d in zip(times, ds)]
+    return np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0].tolist()

@@ -23,7 +23,7 @@ from .hilbert import (
 )
 from .jc_model import ModelParams
 from .magnus import IntegralSet, integrals_closed, omega2_closed, shift_rates
-from .propagator import propagator_bundle, unitarity_defect
+from .propagator import _block_layout, propagator_bundle, unitarity_defect
 
 __all__ = [
     "SqueezingReport",
@@ -183,14 +183,19 @@ def squeezing_report(
     phase of Omega_2 does not commute with the squeeze.  gaussian_squeezing
     gives the exact values without a Fock cutoff, and the report and sweep
     commands read those; this readout is their independent check.  Needs
-    fock_dim >= 16 so the squeezed vacuum tail fits.
+    fock_dim >= 16 so the squeezed vacuum tail fits.  Only the parity block of
+    vacuum (x) |atom> is exponentiated; a non-unitary result raises ValueError.
     """
     _, xi, _ = _sector_xi(params, t, atom)
     if spec.fock_dim < 16:
         raise ValueError(f"fock_dim must be >= 16 for the squeezing readout, got {spec.fock_dim}")
-    om2 = omega2_closed(params, spec, t)
-    psi = evolve(expm_antiherm(om2), basis_state(spec, 0, atom))
-    return _squeezing(xi, _variance_extrema(psi))
+    index = _block_layout(spec.fock_dim)[0][1 if atom == "e" else 0]
+    u = expm_antiherm(omega2_closed(params, spec, t)[np.ix_(index, index)])
+    if (defect := unitarity_defect(u)) > _NORM_TOL:
+        raise ValueError(f"propagator is not unitary: ||U^dag U - I|| = {defect:.3e}")
+    amp = np.zeros(spec.dim, dtype=complex)
+    amp[index] = u[:, 0]
+    return _squeezing(xi, _variance_extrema(StateVector(amp, spec)))
 
 
 def gaussian_squeezing(params: ModelParams, t: float, atom: str) -> SqueezingReport:

@@ -1,6 +1,6 @@
 """Propagators for the rotated Jaynes-Cummings dynamics and their comparison.
 
-Every propagator comes from propagator_bundle, four for a given (params, t):
+Every propagator comes from _bundles, four for each (params, t) point:
 
   * u_exact    -- the exact propagator of h_rotated,
   * u_rwa      -- the exact propagator of h_rwa,
@@ -21,11 +21,11 @@ matrices on Fock levels 0 .. L-1 into their blocks and says whether they
 couple them, and PropagatorBundle puts blocks back.  A propagator is held as
 its two blocks, an (2, N, N) array, so the buffered window of project_buffer
 (Fock levels 0 .. N-1-buffer) is the leading (N - buffer) corner of each
-block.  The bundle gathers its four generators into their blocks (one that
-couples the blocks raises), exponentiates all blocks in stacked eigh calls,
-and lets D(t) scale the rows of the two frame kinds.  Full 2N x 2N matrices,
-with cross-parity entries zero, are assembled only where they are read: the
-PropagatorBundle fields, which u_exact, u_rwa and u_magnus return.
+block.  _bundles gathers the four generators of every point into their blocks
+(one that couples the blocks raises), exponentiates the blocks of all points
+in stacked eigh calls, and lets D(t) scale the rows of the two frame kinds.
+Full 2N x 2N matrices, with cross-parity entries zero, are assembled only
+where read: the PropagatorBundle fields, which u_exact, u_rwa, u_magnus return.
 
 Errors are phase-aligned spectral-norm distances on the buffered window
 (phase_aligned_distances), because ladder truncation corrupts the top levels
@@ -152,9 +152,9 @@ class PropagatorBundle:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Spectral norm of U^dag U - I."""
+    """Spectral norm of U^dag U - I; of a stack of matrices, the largest, from one stacked eigvalsh."""
     u = np.asarray(u)
-    return _hermitian_norm(adjoint(u) @ u - np.eye(u.shape[0]))
+    return _hermitian_norm(adjoint(u) @ u - np.eye(u.shape[-1]))
 
 
 def _check_buffer(fock_dim: int, buffer: int) -> None:
@@ -616,27 +616,33 @@ def phase_aligned_distance(
 
 
 def propagator_bundle(params: ModelParams, spec: HilbertSpec, t: float) -> PropagatorBundle:
-    """The four propagators at one parameter point; the only code that builds propagators.
+    """The four propagators at one parameter point: the one-point case of _bundles, which builds every propagator."""
+    return _bundles(spec, [(params, t)])[0]
 
-    The frame kinds are D(t) exp(-i t (H(0) + F)) with H = h_rotated or
-    h_rwa, the identity at t = 0 or g = 0; D(t) scales row n of block b by
-    its entry at _block_layout's index[b, n].  Omega_1 is shared by both
-    Magnus orders, and all blocks go in one _expm_blockwise call.  A
-    negative or non-finite t raises ValueError.
+
+def _bundles(spec: HilbertSpec, points: list[tuple[ModelParams, float]]) -> list[PropagatorBundle]:
+    """The bundle of each (params, t) point, all blocks from one _expm_blockwise call.
+
+    The frame kinds are D(t) exp(-i t (H(0) + F)) with H = h_rotated or h_rwa,
+    the identity at t = 0 or g = 0; D(t) scales row n of block b by its entry
+    at _block_layout's index[b, n].  A negative or non-finite t raises ValueError.
     """
-    omega1 = omega1_closed(params, spec, t)  # rejects a negative or non-finite t
-    gens = [omega1, omega1 + omega2_closed(params, spec, t)]
-    n = spec.fock_dim
-    if t == 0.0 or params.g == 0.0:
-        blocks = np.concatenate([np.broadcast_to(np.eye(n), (2, 2, n, n)), _expm_blockwise(gens)])
-    else:
-        phases = frame_phases(params, spec)
-        frame_gens = [-1j * t * (h(params, spec, 0.0) + np.diag(phases)) for h in (h_rotated, h_rwa)]
-        blocks = _expm_blockwise(frame_gens + gens)
-        frame = np.exp(1j * t * phases)[_block_layout(n)[0]]
-        # a new product, frame on the left: scaling in place rounds differently
-        blocks[:2] = frame[:, :, None] * blocks[:2]
-    return PropagatorBundle(blocks)
+    n, gens, frames = spec.fock_dim, [], []
+    for params, t in points:
+        omega1 = omega1_closed(params, spec, t)  # rejects a negative or non-finite t
+        framed, phases = t != 0.0 and params.g != 0.0, frame_phases(params, spec)
+        gens += [-1j * t * (h(params, spec, 0.0) + np.diag(phases)) for h in (h_rotated, h_rwa) if framed]
+        gens += [omega1, omega1 + omega2_closed(params, spec, t)]
+        frames.append(np.exp(1j * t * phases)[_block_layout(n)[0]] if framed else None)
+    exps, k, bundles = _expm_blockwise(gens), 0, []
+    for frame in frames:
+        if frame is None:
+            blocks, k = np.concatenate([np.broadcast_to(np.eye(n), (2, 2, n, n)), exps[k : k + 2]]), k + 2
+        else:
+            blocks, k = exps[k : k + 4], k + 4
+            blocks[:2] = frame[:, :, None] * blocks[:2]  # a new product: scaling in place rounds differently
+        bundles.append(PropagatorBundle(blocks))
+    return bundles
 
 
 def error_report(

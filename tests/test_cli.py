@@ -510,8 +510,9 @@ def test_verify_resonance_limit_fails_a_wrong_limit(wrong, monkeypatch, capsys):
 
 def test_report_and_verify_eigh_calls(monkeypatch, capsys):
     # a report exponentiates its one bundle in one stacked eigh call; a
-    # default verify adds a bundle per ERROR_SCALING coupling and the two
-    # truncated-Fock squeezing readouts
+    # default verify exponentiates its four bundles (the configured g and the
+    # three ERROR_SCALING couplings) in one, and each squeezing readout its
+    # one parity block of fock 24 in one
     calls = []
     real_eigh = np.linalg.eigh
 
@@ -525,7 +526,35 @@ def test_report_and_verify_eigh_calls(monkeypatch, capsys):
     calls.clear()
     assert cli.cmd_verify(RunConfig()) == 0
     capsys.readouterr()
-    assert len(calls) <= 6
+    assert calls == [(32, 12, 12), (24, 24), (24, 24)]
+
+
+def test_verify_chain_and_bch_take_one_svd_each(monkeypatch, capsys):
+    # ROTATION_CHAIN (||h_full|| and five residuals) and BCH_RESIDUAL (six
+    # residual norms) each take one stacked values-only SVD
+    calls, per_check = [], {}
+    real_svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            before = len(calls)
+            result = fn(*args)
+            per_check[name] = calls[before:]
+            return result
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counting)
+    monkeypatch.setattr(cli, "_rotation_chain", counted("ROTATION_CHAIN", cli._rotation_chain))
+    monkeypatch.setattr(cli, "_bch_residuals", counted("BCH_RESIDUAL", cli._bch_residuals))
+    assert cli.cmd_verify(RunConfig()) == 0
+    capsys.readouterr()
+    assert per_check == {"ROTATION_CHAIN": [(6, 24, 24)], "BCH_RESIDUAL": [(6, 24, 24)]}
 
 
 def test_verify_large_quad_steps():

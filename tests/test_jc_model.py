@@ -8,6 +8,8 @@ from jcmagnus.jc_model import (
     h_full,
     h_rotated,
     h_rwa,
+    _bch_residuals,
+    _rotation_chain,
     rotation_chain_residual,
     verify_bch,
 )
@@ -84,6 +86,30 @@ def test_rotation_chain_identity():
     assert rotation_chain_residual(p, spec, 0.37) <= 1e-12 * href
     for t in np.linspace(0.0, 2.0, 5):
         assert rotation_chain_residual(p, spec, float(t)) <= 1e-12 * href
+
+
+def test_stacked_chain_and_bch_equal_scalar_calls():
+    # the stacked residuals equal the one-point calls bit for bit, which
+    # equal one spectral norm per residual matrix; the rotation chain's
+    # first norm is ||h_full||
+    spec = HilbertSpec(12)
+    p = ModelParams(1.0, 0.8, 0.05)
+    times = np.linspace(0.0, 2.0, 5).tolist()
+    href, *resids = _rotation_chain(p, spec, times)
+    assert href == spectral_norm(h_full(p, spec))
+    assert resids == [rotation_chain_residual(p, spec, t) for t in times]
+    phases = frame_phases(p, spec)
+    d = np.exp(1j * 0.5 * phases)
+    chained = d[:, None] * (h_full(p, spec) - np.diag(phases)) * d.conj()
+    assert resids[1] == spectral_norm(h_rotated(p, spec, 0.5) - chained)
+    points = [(p, 1.0), (ModelParams(2.3, 0.8, 0.05), 5.1), (ModelParams(0.7, 1.1, 0.02), 0.0)]
+    norms = _bch_residuals(spec, points)
+    assert [max(norms[k : k + 2]) for k in (0, 2, 4)] == [verify_bch(q, spec, t) for q, t in points]
+    a = tensor(annihilation(spec), np.eye(2, dtype=complex))
+    v = np.exp(-1j * 5.1 * frame_phases(points[1][0], spec))
+    r1 = spectral_norm(v.conj()[:, None] * a * v - np.exp(-1j * 2.3 * 5.1) * a)
+    r2 = spectral_norm(v.conj()[:, None] * a.conj().T * v - np.exp(1j * 2.3 * 5.1) * a.conj().T)
+    assert norms[2:4] == [r1, r2]
 
 
 def test_rwa_difference_is_counter_rotating_only():

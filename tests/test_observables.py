@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from jcmagnus.hilbert import ATOM_GROUND, HilbertSpec, annihilation, creation, expm_antiherm, tensor
+from jcmagnus import observables
 from jcmagnus.jc_model import ModelParams
+from jcmagnus.magnus import omega2_closed
 from jcmagnus.observables import (
     SqueezingReport,
     StateVector,
@@ -153,6 +155,28 @@ def test_squeezing_report_atom_parity():
     assert angle_diff_mod_pi(rep_e.theta_min, rep_g.theta_min + np.pi / 2.0) <= 1e-3
     for rep in (rep_e, rep_g):
         assert angle_diff_mod_pi(rep.theta_min, rep.theta_pred) <= 1e-3
+
+
+def test_squeezing_report_one_block_matches_full_exponential():
+    # exponentiating only the parity block of vacuum (x) |atom> gives the
+    # readout of the full exp(Omega_2) to rounding
+    p = ModelParams(1.0, 0.8, 0.05)
+    spec = HilbertSpec(24)
+    for t in (1.0, 5.0):
+        for atom in ("e", "g"):
+            full = evolve(expm_antiherm(omega2_closed(p, spec, t)), basis_state(spec, 0, atom))
+            var_min, theta_min, var_max = _variance_extrema(full)
+            rep = squeezing_report(p, spec, t, atom)
+            assert abs(rep.var_min - var_min) <= 1e-15 and abs(rep.var_max - var_max) <= 1e-15, (t, atom)
+            assert angle_diff_mod_pi(rep.theta_min, theta_min) <= 1e-10, (t, atom)
+
+
+def test_squeezing_report_rejects_non_unitary_exponential(monkeypatch):
+    # the readout's unitarity guard sits on the one exponentiated block
+    p = ModelParams(1.0, 0.8, 0.05)
+    monkeypatch.setattr(observables, "expm_antiherm", lambda gen: 1.001 * expm_antiherm(gen))
+    with pytest.raises(ValueError, match="not unitary"):
+        squeezing_report(p, HilbertSpec(24), 1.0, "e")
 
 
 def test_gaussian_squeezing_matches_fock_readout():

@@ -102,6 +102,27 @@ def test_bundle_matches_single_propagators(fock):
         propagator_bundle(PARAMS, spec, -1.0)
 
 
+@pytest.mark.parametrize("fock", [8, 12, 24, 48])
+def test_stacked_bundles_equal_one_point_bundles(fock, monkeypatch):
+    # one _expm_blockwise call for several points gives each point's bundle
+    # bit for bit, the identity frames at g = 0 and t = 0 among the probes:
+    # 20 generators, whose 40 blocks fit one expm_antiherm call up to fock
+    # 12 and go two per call above _STACK_BYTES, in two halves at fock 48
+    spec = HilbertSpec(fock)
+    points = [(PARAMS, 1.0), (ModelParams(1.0, 0.8, 0.0), 1.0), (PARAMS, 0.0)]
+    points += [(ModelParams(1.0, 0.8, g), 1.0) for g in (0.01, 0.02, 0.04)]
+    single = [propagator_bundle(params, spec, t).blocks for params, t in points]
+    calls, real = [], propagator.expm_antiherm
+    monkeypatch.setattr(propagator, "expm_antiherm", lambda gen: calls.append(len(gen)) or real(gen))
+    started = count_thread_starts(monkeypatch, cpus=2)
+    stacked = propagator._bundles(spec, points)
+    assert sorted(calls) == ([40] if fock <= 12 else [2] * 20)
+    assert len(started) == (1 if fock == 48 else 0)
+    assert len(stacked) == len(points)
+    for bundle, blocks in zip(stacked, single):
+        assert np.array_equal(bundle.blocks, blocks)
+
+
 def _with_entry(value: float) -> np.ndarray:
     u = np.eye(12, dtype=complex)
     u[3, 5] = value

@@ -95,11 +95,15 @@ def test_cross_module_private_imports():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     }
     assert imported == {
+        ("cli", "jc_model", "_bch_residuals"),
+        ("cli", "jc_model", "_rotation_chain"),
         ("cli", "magnus", "_omega2_from_integrals"),
         ("cli", "observables", "_bs_phase"),
         ("cli", "propagator", "_DISTANCE_PAIRS"),
+        ("cli", "propagator", "_bundles"),
         ("cli", "propagator", "_gather"),
         ("magnus", "jc_model", "_interaction_blocks"),
+        ("observables", "propagator", "_block_layout"),
         ("propagator", "hilbert", "_hermitian_norm"),
     }
 
