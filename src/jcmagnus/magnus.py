@@ -21,12 +21,26 @@ The i g^2 f(d,t) n sz piece is the photon-number-dependent AC-Stark shift, the
 i g^2 f(s,t) n sz piece the Bloch-Siegert shift, and the zeta term a two-photon
 squeeze generator whose amplitude per atom sector is xi = g^2 zeta sz.
 
-zeta has a removable singularity on resonance.  With 2 omega = sigma + delta
-the numerator regroups into phase ramps,
+One sinc quotient
+-----------------
+I1 = -2i f(d,t), I6 = -2i f(s,t) and zeta are values of one symmetric
+function, the divided difference e[+-i a, +-i b] of exp:
 
-  zeta(t) = [2 c(2 omega, t) - c(d, t) (1 + e^{i s t})] / s,
+  E(a, b) = (sinc a - sinc b) / (b^2 - a^2),   sinc x = sin x / x.
 
-which has no 1/d left and reduces to the resonance limit
+Three facts give it.  By Hermite-Genocchi the integral of e^{alpha t1 + beta t2}
+over 0 <= t2 <= t1 <= t is t^2 e[0, alpha t, (alpha + beta) t].  Divided
+differences obey e[x, a, c] - e[x, b, c] = (a - b) e[x, a, b, c].  And
+e[+-p, +-q] = (S(p^2) - S(q^2)) / (p^2 - q^2) with S(w) = sinh(sqrt w) / sqrt w.
+Together,
+
+  I1 = -2i d t^3 E(0, d t),    I6 = -2i s t^3 E(0, s t),
+  zeta = -2i omega0 t^3 e^{i omega t} E(omega t, omega0 t).
+
+zeta's four nodes 0, i d t, i s t and 2 i omega t are symmetric about
+i omega t, so omega0 factors out exactly and no 1/d is ever formed:
+zeta has a removable singularity on resonance, and there it is just a = b,
+E(a, a) = (sin a - a cos a) / (2 a^3), which is the resonance limit
 
   zeta -> (1 - e^{2 i omega t}) / (omega (omega + omega0))
           + i t (1 + e^{2 i omega t}) / (omega + omega0)
@@ -34,8 +48,21 @@ which has no 1/d left and reduces to the resonance limit
 at d = 0 exactly, so one formula serves every detuning.  The quadrature
 oracle in this module confirms the limit; note that substituting
 e^{i d t} -> 1 in the original numerator would drop the second term and does
-not reproduce the integral.  Below sigma t = 1 the formula's O(t) terms
-cancel, and zeta is summed from the Taylor series of its integrand instead.
+not reproduce the integral.
+
+_sinc_quotient evaluates E in three regions of lo <= hi, the sorted |a|, |b|.
+Below hi = 1, where sinc a - sinc b cancels, it sums the series
+sum_{n >= 1} (-1)^{n-1} H_{n-1}(a^2, b^2) / (2n + 1)! through n = 12, with
+H_k the complete homogeneous symmetric polynomial of degree k; the first
+dropped term is below 13 / 27! < 1e-27, and E >= (sin 1 - cos 1) / 2 > 0.15
+there.  For 2 lo >= hi it takes the half-angle form
+(sinc m cos h - cos m sinc h) / (2 a b), m = (a + b)/2, h = (b - a)/2, in
+which b - a is exact (Sterbenz) and nothing is divided by it.  Elsewhere the
+plain quotient has a denominator of at least 3 hi^2 / 4; for I1 and I6
+(a = 0) its numerator 1 - sinc b loses at most a factor 1 / (1 - sin 1) < 7
+to cancellation.  Against 50-digit arithmetic I1, I6 and zeta are within
+6e-15 relative for t from 1e-6 to 20, detunings from 1e-9 to 1e-1 and
+omega0 / omega from 0.01 to 20.
 
 The double integrals I1, I2, I5, I6 of the second-order construction are
 exposed, together with iterated composite-Simpson quadrature oracles of the
@@ -67,6 +94,7 @@ from stacking h_rotated.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,7 +106,6 @@ from .jc_model import ModelParams, _interaction_blocks
 
 __all__ = [
     "IntegralSet",
-    "SERIES_THRESHOLD",
     "commutator_table",
     "convergence_margin",
     "integrals_closed",
@@ -92,22 +119,11 @@ __all__ = [
     "zeta_resonance_limit",
 ]
 
-# |x t| below which f(x, t) switches to its series (cancellation guard).
-SERIES_THRESHOLD = 0.5
-# Taylor coefficients (-1)^k / (2k + 3)! of (u - sin u) / u^3 in powers of
-# u^2, highest power first for Horner evaluation.
-_PHI_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7, -1, -1))
 # Taylor coefficients (-1)^k 2k / (2k + 1)! of (u cos u - sin u) / u^3 in
 # powers of u^2 (k = 1..10), highest power first (np.polyval).
 _CROSS_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(10, 0, -1))
-# Triangle integrals of the Taylor terms of zeta's integrand, exponents
-# (a, b) of (i delta t1)^a (i sigma t2)^b through total order 20:
-# i^(a+b) / (a! b! (b+1) (a+b+2)).  Order 0 cancels.
-_ZETA_TERMS = [(a, m - a) for m in range(1, 21) for a in range(m + 1)]
-_ZETA_A, _ZETA_B = np.array(_ZETA_TERMS).T
-_ZETA_COEF = np.array(
-    [1j ** (a + b) / (math.factorial(a) * math.factorial(b) * (b + 1) * (a + b + 2)) for a, b in _ZETA_TERMS]
-)
+# Coefficients (-1)^(n-1) / (2n + 1)! of E(a, b)'s series in H_{n-1}(a^2, b^2), n = 1..12.
+_E_SERIES = tuple((-1) ** (n - 1) / math.factorial(2 * n + 1) for n in range(1, 13))
 
 
 @dataclass(frozen=True)
@@ -131,27 +147,30 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be non-negative and finite, got {t}")
 
 
-def _ramp(x: float, t: float) -> float:
-    """f(x, t) = t/x - sin(x t)/x^2 = x t^3 phi(x t), phi(u) = (u - sin u) / u^3.
+def _sinc(x: float) -> float:
+    """sin x / x, 1 at x = 0."""
+    return math.sin(x) / x if x else 1.0
 
-    phi is evaluated by its Taylor series for |u| below SERIES_THRESHOLD,
-    where u - sin u cancels, and directly above it.  The first dropped
-    series term, u^16 / 19!, is below 1e-21 relative at the threshold; the
-    direct form loses at most a factor u / (u - sin u) < 25 in relative
-    accuracy there.
+
+def _sinc_quotient(a: float, b: float) -> float:
+    """E(a, b) = (sinc a - sinc b) / (b^2 - a^2), even in each argument; E(0, 0) = 1/6.
+
+    Series below max(|a|, |b|) = 1, half-angle form where the smaller is at
+    least half the larger, plain quotient elsewhere (see the module docstring).
     """
-    u = x * t
-    if abs(u) < SERIES_THRESHOLD:
-        u2 = u * u
-        phi = 0.0
-        for coef in _PHI_SERIES:
-            phi = phi * u2 + coef
-    else:
-        phi = (u - math.sin(u)) / (u * u * u)
-    try:
-        return x * t**3 * phi
-    except OverflowError:
-        raise ValueError(f"t = {t} is too large: t**3 overflows a float") from None
+    lo, hi = sorted((abs(a), abs(b)))
+    if hi < 1.0:
+        x, y = lo * lo, hi * hi
+        total, h, xk = 0.0, 1.0, 1.0
+        for coef in _E_SERIES:
+            total += coef * h
+            xk *= x
+            h = h * y + xk  # H_k(x, y) = y H_{k-1}(x, y) + x^k
+        return total
+    if 2.0 * lo >= hi:
+        m, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        return (_sinc(m) * math.cos(h) - math.cos(m) * _sinc(h)) / (2.0 * lo * hi)
+    return (_sinc(lo) - _sinc(hi)) / ((hi - lo) * (hi + lo))
 
 
 def _phase_ramp(x: float, t: float) -> complex:
@@ -160,7 +179,7 @@ def _phase_ramp(x: float, t: float) -> complex:
     Uses 1 - e^{i a} = -2i e^{i a/2} sin(a/2), so the value is exact for every
     x including x = 0 where it equals -i t.
     """
-    return -1j * t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
+    return -1j * t * cmath.exp(0.5j * x * t) * _sinc(0.5 * x * t)
 
 
 def zeta_resonance_limit(params: ModelParams, t: float) -> complex:
@@ -176,49 +195,25 @@ def zeta_resonance_limit(params: ModelParams, t: float) -> complex:
     return complex(2j * np.exp(1j * u) * cross / (params.omega * params.sigma))
 
 
-def _zeta_closed(params: ModelParams, t: float) -> complex:
-    """zeta = [2 c(2 omega, t) - c(delta, t) (1 + e^{i sigma t})] / sigma.
-
-    The defining quotient with 2 omega = sigma + delta substituted: no
-    1/delta remains, so one expression holds for every detuning, resonance
-    included, where it equals zeta_resonance_limit.
-
-    Its O(t) terms cancel to the O(t^3) value of zeta, so below
-    sigma t = 2 SERIES_THRESHOLD zeta is summed from the Taylor series of
-    its integrand instead: with x = delta t and y = sigma t, the term
-    t1^a t2^b of e^{i (delta t1 + sigma t2)} - e^{i (sigma t1 + delta t2)}
-    integrates over the triangle 0 <= t2 <= t1 <= t to
-    t^{a+b+2} / ((b+1) (a+b+2)), so
-
-        zeta = t^2 sum_{a,b} i^{a+b} (x^a y^b - y^a x^b) / (a! b! (b+1) (a+b+2)).
-
-    Summed through order 20, it is within 3e-15 relative of 60-digit
-    arithmetic across the series region for omega0 / omega from 0.01 to 20.
-    """
-    s = params.sigma
-    if s * t < 2.0 * SERIES_THRESHOLD:
-        x, y = params.delta * t, s * t
-        return complex(t * t * np.dot(_ZETA_COEF, x**_ZETA_A * y**_ZETA_B - y**_ZETA_A * x**_ZETA_B))
-    return (
-        2.0 * _phase_ramp(2.0 * params.omega, t)
-        - _phase_ramp(params.delta, t) * (1.0 + np.exp(1j * s * t))
-    ) / s
-
-
 def integrals_closed(params: ModelParams, t: float) -> IntegralSet:
-    """Closed-form I1, I2, I5, I6 at time t (t >= 0 and finite)."""
+    """Closed-form I1, I2, I5, I6 at time t (t >= 0 and finite).
+
+    I1, I6 and zeta = I2 are t^3 times one sinc quotient each (_sinc_quotient),
+    at every detuning, resonance included; I5 = conj(I2).  Against 50-digit
+    arithmetic all three are within 1e-14 relative for t from 1e-6 to 20.
+    A t whose cube overflows a float is a ValueError.
+    """
     _check_time(t)
-    i1 = -2j * _ramp(params.delta, t)
-    i6 = -2j * _ramp(params.sigma, t)
-    zeta = _zeta_closed(params, t)
-    return IntegralSet(
-        i1=complex(i1),
-        i2=complex(zeta),
-        i5=complex(np.conj(zeta)),
-        i6=complex(i6),
-        zeta=complex(zeta),
-        params=params,
-    )
+    try:
+        t3 = t**3
+    except OverflowError:
+        raise ValueError(f"t = {t} is too large: t**3 overflows a float") from None
+    d, s, w = params.delta, params.sigma, params.omega
+    i1 = -2j * (d * t3 * _sinc_quotient(0.0, d * t))
+    i6 = -2j * (s * t3 * _sinc_quotient(0.0, s * t))
+    # the real factor first: at t = 0 zeta is +0+0j, whose angle theta_pred reads
+    zeta = params.omega0 * t3 * _sinc_quotient(w * t, params.omega0 * t) * (-2j * cmath.exp(1j * w * t))
+    return IntegralSet(i1=i1, i2=zeta, i5=zeta.conjugate(), i6=i6, zeta=zeta, params=params)
 
 
 def _simpson_pattern(panels: int) -> np.ndarray:

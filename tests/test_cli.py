@@ -266,32 +266,33 @@ def test_zeta_is_evaluated_through_integrals_closed(monkeypatch, capsys):
     # columns, for the squeeze amplitude xi (r_pred and theta_pred) and for
     # the bundle's closed Omega_2; a default verify adds its closed
     # integrals, the two resonance probes, one xi per squeezing readout and
-    # the closed Omega_2 of its generators and bundles
-    calls, zetas = [], []
-    real, real_zeta = magnus.integrals_closed, magnus._zeta_closed
+    # the closed Omega_2 of its generators and bundles.  Each call forms I1,
+    # I6 and zeta from one sinc quotient apiece, and no other code forms one.
+    calls, quotients = [], []
+    real, real_quotient = magnus.integrals_closed, magnus._sinc_quotient
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    def counting_zeta(*args):
-        zetas.append(args)
-        return real_zeta(*args)
+    def counting_quotient(*args):
+        quotients.append(args)
+        return real_quotient(*args)
 
     for module in (magnus, cli, observables):
         monkeypatch.setattr(module, "integrals_closed", counting)
-    monkeypatch.setattr(magnus, "_zeta_closed", counting_zeta)
+    monkeypatch.setattr(magnus, "_sinc_quotient", counting_quotient)
     cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
-    assert len(calls) == len(zetas) == 3
+    assert len(calls) == 3 and len(quotients) == 3 * 3
     calls.clear()
-    zetas.clear()
+    quotients.clear()
     assert cli.cmd_report(RunConfig()) == 0
-    assert len(calls) == len(zetas) == 3
+    assert len(calls) == 3 and len(quotients) == 3 * 3
     calls.clear()
-    zetas.clear()
+    quotients.clear()
     assert cli.cmd_verify(RunConfig()) == 0
     capsys.readouterr()
-    assert len(calls) == len(zetas) == 16
+    assert len(calls) == 16 and len(quotients) == 3 * 16
 
 
 def test_grid_flag_parsing(tmp_path):

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from jcmagnus.cli import main
 from jcmagnus.hilbert import (
     HilbertSpec,
     anti_hermiticity_defect,
@@ -23,8 +24,8 @@ from jcmagnus.magnus import (
     simpson_weights,
     zeta_resonance_limit,
 )
-from jcmagnus.magnus import _inner_sums, _ramp, _zeta_closed
-from jcmagnus.observables import gaussian_squeezing
+from jcmagnus.magnus import _inner_sums, _sinc_quotient
+from jcmagnus.observables import gaussian_squeezing, squeezing_report
 from jcmagnus.propagator import project_buffer
 
 from oracles import inner_sums_grid, integrals_triangle_rule, omega1_stack_rule
@@ -53,10 +54,29 @@ def test_integrals_closed_frozen_values():
     assert ints.i2 == ints.zeta
 
 
-def test_integrals_closed_at_t0():
-    ints = integrals_closed(ModelParams(1.0, 0.8, 0.05), 0.0)
-    for name in ("i1", "i2", "i5", "i6"):
-        assert getattr(ints, name) == 0j
+def _zero_signs(z: complex) -> tuple[float, float]:
+    assert z == 0j
+    return (math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+
+def test_integrals_closed_at_t0(capsys):
+    # exact zeros with pinned signs: I1 and I6 are -2i times a zero carrying
+    # the sign of delta and sigma, zeta is +0+0j and I5 its conjugate, so
+    # report prints zeta_re = 0 and zeta_im = 0, and theta_pred = arg(xi)/2
+    # is 0 for the excited atom and pi/2 for the ground atom
+    for w0, i1_imag in ((0.8, -1.0), (1.0, -1.0), (1.2, 1.0)):
+        p = ModelParams(1.0, w0, 0.05)
+        ints = integrals_closed(p, 0.0)
+        assert _zero_signs(ints.i1) == (1.0, i1_imag), w0
+        assert _zero_signs(ints.i6) == (1.0, -1.0), w0
+        assert _zero_signs(ints.i2) == _zero_signs(ints.zeta) == (1.0, 1.0), w0
+        assert _zero_signs(ints.i5) == (1.0, -1.0), w0
+        for atom, theta in (("e", 0.0), ("g", 0.5 * math.pi)):
+            assert squeezing_report(p, HilbertSpec(16), 0.0, atom).theta_pred == theta, (w0, atom)
+    assert main(["report", "--t", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line in ("zeta_re = 0", "zeta_im = 0", "theta_pred = 0"):
+        assert line in out
     with pytest.raises(ValueError):
         integrals_closed(ModelParams(1.0, 0.8, 0.05), -0.1)
 
@@ -64,18 +84,20 @@ def test_integrals_closed_at_t0():
 @pytest.mark.parametrize("xt", [0.0, 1e-9, 1e-7, 1.1e-6, 1e-4, 0.1, 0.5, 0.9, 3.0])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_ramp_relative_accuracy(xt, sign):
-    # f(x, t) = t/x - sin(x t)/x^2 against 50-digit arithmetic on both sides
-    # of the series/direct switch, including the former cancellation region
+    # f(x, t) = t/x - sin(x t)/x^2 = x t^3 E(0, x t), the ramp of I1 and I6,
+    # against 50-digit arithmetic on both sides of _sinc_quotient's switch
+    # from its series at |x t| = 1, including the cancellation region
     mpmath = pytest.importorskip("mpmath")
     t = 1.3
     x = sign * xt / t
+    got = x * t**3 * _sinc_quotient(0.0, x * t)
     if x == 0.0:
-        assert _ramp(x, t) == 0.0
+        assert got == 0.0
         return
     with mpmath.workdps(50):
         xm, tm = mpmath.mpf(x), mpmath.mpf(t)
         want = (xm * tm - mpmath.sin(xm * tm)) / (xm * xm)
-        assert abs((_ramp(x, t) - want) / want) <= 1e-14
+        assert abs((got - want) / want) <= 1e-14
 
 
 def test_integrals_quadrature_matches_closed():
@@ -173,9 +195,11 @@ def test_zeta_resonance_branch_and_limit():
     res = ModelParams(1.0, 1.0, 0.05)
     assert integrals_closed(res, 1.0).zeta == pytest.approx(ZETA_RES_T1, abs=1e-14)
     assert zeta_resonance_limit(res, 1.0) == pytest.approx(ZETA_RES_T1, abs=1e-14)
+    for t in (0.5, 1.0, 2.0, 5.0, 20.0):
+        limit = zeta_resonance_limit(res, t)
+        assert abs(integrals_closed(res, t).zeta - limit) <= 1e-15 * abs(limit), t
     for t in (0.5, 1.0, 2.0):
-        limit = zeta_resonance_limit(ModelParams(1.0, 1.0, 0.05), t)
-        assert abs(_zeta_closed(res, t) - limit) <= 1e-15 * abs(limit)
+        limit = zeta_resonance_limit(res, t)
         for w0 in (1.0 - 1e-9, 1.0 + 1e-9):
             near = integrals_closed(ModelParams(1.0, w0, 0.05), t).zeta
             assert abs(near - limit) <= 1e-8 * abs(limit)
@@ -209,6 +233,39 @@ def test_zeta_relative_accuracy(t):
                 want = num / (w * (w * w - w0 * w0))
             got = integrals_closed(p, t).zeta
             assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want), delta
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+def test_closed_integrals_relative_accuracy(t):
+    # I1, I6 and zeta from integrals_closed against 50-digit arithmetic of
+    # their defining closed forms, through resonance and across the three
+    # regions of _sinc_quotient, for small and large omega0 / omega
+    mpmath = pytest.importorskip("mpmath")
+    omega0s = [1.0 - sign * 10.0**-k for k in range(1, 10) for sign in (1.0, -1.0)]
+    omega0s += [1.0, 0.01, 0.05, 0.2, 0.5, 2.0, 5.0, 20.0]
+    with mpmath.workdps(50):
+        tm = mpmath.mpf(t)
+
+        def f(x):
+            return tm / x - mpmath.sin(x * tm) / (x * x)
+
+        for w0 in omega0s:
+            p = ModelParams(1.0, w0, 0.05)
+            w, w0m = mpmath.mpf(p.omega), mpmath.mpf(p.omega0)
+            d, s = w - w0m, w + w0m
+            if d == 0:
+                e2 = mpmath.expj(2 * w * tm)
+                zeta = (1 - e2) / (w * s) + 1j * tm * (1 + e2) / s
+            else:
+                num = w0m * mpmath.expj(2 * w * tm) - w * mpmath.expj(s * tm) + w * mpmath.expj(d * tm) - w0m
+                zeta = num / (w * (w * w - w0m * w0m))
+            ints = integrals_closed(p, t)
+            if d == 0:
+                assert ints.i1 == 0j
+            else:
+                assert abs(mpmath.mpc(ints.i1) + 2j * f(d)) <= 1e-14 * abs(2 * f(d)), w0
+            assert abs(mpmath.mpc(ints.i6) + 2j * f(s)) <= 1e-14 * abs(2 * f(s)), w0
+            assert abs(mpmath.mpc(ints.zeta) - zeta) <= 1e-14 * abs(zeta), w0
 
 
 def test_zeta_resonance_limit_small_t():
