@@ -31,10 +31,10 @@ Errors are phase-aligned spectral-norm distances on the buffered window
 (phase_aligned_distances), because ladder truncation corrupts the top levels
 and two propagators may differ by a global phase.  One search, _search(x, y),
 takes the blocks of many pairs, shape (pairs, blocks, n, n), and runs their
-distances in lockstep, one stacked full-SVD call per round, whose singular
-pairs bound the distance from below at every phase and so rule phases out in
-closed form.  block_distances slices x and y from the block corners;
-phase_aligned_distances gathers full-matrix windows into them, per block shape.
+distances in lockstep, one stacked full-SVD call per round, whose top
+singular pairs drive the refinements and then compress a level-set
+certificate of the global minimum.  block_distances slices x and y from the
+block corners; phase_aligned_distances gathers full-matrix windows into them.
 
 Threads.  From block side 20 (search) and 40 (exponentials) on, with two
 usable CPUs, _in_halves runs half of the pairs or eigh calls on a second
@@ -81,6 +81,9 @@ _ULPS = 4
 # Cap on each stacked operand of the distances' LAPACK calls: small blocks
 # stack fully, blocks above it go one per call.
 _STACK_BYTES = 128 * 1024
+# The pencil's shift, off the unit circle, and how near to it an eigenvalue
+# counts as a crossing of the level (_arcs_below).
+_SHIFT, _UNIT = 2.0 + 1.0j, 1e-6
 # Block sides from which the distance search and the exponentials split their
 # work across two threads (_in_halves); below them a thread slows them down.
 _SEARCH_THREAD_SIDE, _EXPM_THREAD_SIDE = 20, 40
@@ -256,8 +259,8 @@ def _windowed(pair: tuple[np.ndarray, np.ndarray], projector: np.ndarray | None)
     return np.stack([x[:keep, :keep], y[:keep, :keep]])
 
 
-def _branches_and_minorants(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray]:
-    """Top singular pair models and minorants of each x_i - z_i y_i, from one full SVD each.
+def _top_pairs(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """(models, u, v): the top singular pair model and vectors of each x_i - z_i y_i, from one full SVD each.
 
     x and y are stacks of square matrices and z a vector of unit phases.  The
     model of block i is (sigma_1, sigma_1', r_1, sigma_2, sigma_2', r_2,
@@ -273,18 +276,11 @@ def _branches_and_minorants(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tupl
     (sigma_1 - sigma_2), which _model_step keeps exact.  Terms with a zero
     denominator (exact ties and pairs of zero singular values) are dropped:
     their numerators vanish along the analytic branches.  A 1 x 1 block
-    repeats its one branch, with kappa = 0.
-
-    Each singular pair k bounds the norm at every phase (Horn & Johnson,
-    Matrix Analysis, 2013): sigma_max(x - e^{i phi} y) >= |a_k - e^{i phi} b_k|
-    with b_k = (U^dag y V)_kk and a_k = sigma_k + z b_k.  The minorants, shape
-    (len(x), 3, n), are (|a_k| - |b_k|, 2 sqrt(|a_k| |b_k|), arg(a_k / b_k)) =
-    (d_k, r_k, theta_k): hypot(d_k, r_k sin((phi - theta_k) / 2)) does not cancel.
+    repeats its one branch, with kappa = 0.  u[i] and v[i] hold the left and
+    right singular vectors of the two (a 1 x 1 block: one) largest as columns.
     """
     u, s, vh = np.linalg.svd(x - z[:, None, None] * y)
     uh, w = adjoint(u), y @ adjoint(vh)
-    b = np.einsum("kji,kij->kj", uh, w)
-    a = s + z[:, None] * b
     top = min(2, s.shape[-1])
     dz = (-1j * z)[:, None, None]
     col = dz * (uh @ w[:, :, :top])  # K_jk for the top k
@@ -298,9 +294,7 @@ def _branches_and_minorants(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tupl
         curv = curv + np.sum(np.divide(num, 2.0 * den, out=np.zeros(num.shape), where=den != 0), axis=1)
     kappa = 0.5 * (col[:, 1, 0] + row[:, 1, 0]) if top == 2 else np.zeros(len(s))
     cols = (s[:, 0], kk.real[:, 0], curv[:, 0], s[:, top - 1], kk.real[:, top - 1], curv[:, top - 1], np.abs(kappa) ** 2)
-    abs_a, abs_b = np.abs(a), np.abs(b)
-    models = [[m] for m in zip(*(c.tolist() for c in cols))]
-    return models, np.stack([abs_a - abs_b, 2.0 * np.sqrt(abs_a * abs_b), np.angle(a * b.conj())], axis=1)
+    return list(zip(*(c.tolist() for c in cols))), u[:, :, :top], adjoint(vh[:, :top])
 
 
 def _pair_model(s1: float, d1: float, r1: float, s2: float, d2: float, r2: float, k2: float):
@@ -341,7 +335,7 @@ def _model_step(blocks: list[tuple[float, ...]]) -> tuple[float | None, float | 
     """(h, value): the step to the local minimum nearest 0 of the largest block model, and the model there if smooth.
 
     A block (sigma_1, sigma_1', r_1, sigma_2, sigma_2', r_2, |kappa|^2) of
-    _branches_and_minorants is modelled by one 2 x 2 model of its top
+    _top_pairs is modelled by one 2 x 2 model of its top
     singular pair (_pair_model).  It matches sigma_1 to second order at h = 0
     and also holds across an avoided crossing of the pair, where the Taylor
     model of sigma_1 fails (Lewis & Overton, Acta Numerica 5 (1996) 149).
@@ -395,100 +389,92 @@ def _model_step(blocks: list[tuple[float, ...]]) -> tuple[float | None, float | 
     return best, low
 
 
-def _below(minorants: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, w): minorant k is below level exactly on |phi - theta_k| < w_k (w_k = pi: everywhere)."""
-    d, r, theta = minorants
-    room = (level - np.abs(d)) * (level + np.abs(d))  # (r sin(w / 2))^2
-    return theta, 2.0 * np.arctan2(np.sqrt(np.maximum(room, 0.0)), np.sqrt(np.maximum(r * r - room, 0.0)))
+def _arcs_below(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray, levels: np.ndarray) -> list[list]:
+    """Per pair p, the arcs (lo, hi) between crossings of levels[p] on which its compressed minorant is below it.
 
-
-def _open_arcs(minorants: np.ndarray, level: float, closed: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """The arcs (lo, hi) on which every minorant is below level, outside the closed arcs (lo, hi).
-
-    The excluded arcs are laid out from the centre of the widest, so only its
-    copy one turn on wraps: the others' overhang falls inside the widest.
+    a and b, shape (pairs, blocks, n, n), hold each pair's blocks, and u and
+    v, shape (pairs, blocks, n, m), singular vectors of them.  With U, V
+    orthonormal bases of those, f_c(phi) = max_b sigma_1(C_b - e^{i phi}
+    D_b) <= f(phi), C = U^dag a V and D = U^dag b V.  A singular value of
+    C - z D, |z| = 1, equals the level exactly where z is an eigenvalue of
+    L - z R, L = [[-level I, C], [-D^dag, 0]], R = [[0, D], [-C^dag, level
+    I]], found as nu = 1 / (z - _SHIFT), the eigenvalues of (L - _SHIFT R)^-1
+    R, which a singular C or D leaves finite.  Those within _UNIT of the unit
+    circle cut it into arcs, on each of which f_c keeps the side of the
+    level that it takes at the arc's midpoint.
     """
-    theta, w = _below(minorants, level)
-    lo, hi = np.array(closed).T
-    centers = np.concatenate([theta[w < math.pi] + math.pi, 0.5 * (lo + hi)])
-    halves = np.concatenate([math.pi - w[w < math.pi], 0.5 * (hi - lo)])
-    origin, widest = centers[np.argmax(halves)], halves.max()
-    x, halves = np.append(np.mod(centers - origin, 2.0 * math.pi), 2.0 * math.pi), np.append(halves, widest)
-    order = np.argsort(x - halves)
-    lo, hi = (x - halves)[order], np.maximum.accumulate((x + halves)[order])
-    gap = lo[1:] > hi[:-1]
-    return list(zip((origin + hi[:-1][gap]).tolist(), (origin + lo[1:][gap]).tolist()))
-
-
-def _bracket(phi: float, level: float, minorants: np.ndarray) -> tuple[float, float]:
-    """The arc around phi, at most 2 pi, on which every minorant below level at phi stays below it."""
-    theta, w = _below(minorants, level)
-    d = np.mod(phi - theta + math.pi, 2.0 * math.pi) - math.pi
-    bounding = (np.abs(d) < w) & (w < math.pi)  # one above level at phi is there by rounding alone
-    w, d = w[bounding], d[bounding]
-    return phi - float(np.min(w + d, initial=math.pi)), phi + float(np.min(w - d, initial=math.pi))
+    if u.shape[-1] > min(2, u.shape[-2]):  # one evaluation's singular vectors are orthonormal already
+        u, v = np.linalg.qr(np.stack([u, v]))[0]
+    c, d = adjoint(u) @ a @ v, adjoint(u) @ b @ v
+    k, eye = c.shape[-1], levels[:, None, None, None] * np.eye(c.shape[-1])
+    lhs, rhs = np.zeros((2, *c.shape[:2], 2 * k, 2 * k), dtype=complex)
+    lhs[..., :k, :k], lhs[..., :k, k:], lhs[..., k:, :k] = -eye, c, -adjoint(d)
+    rhs[..., :k, k:], rhs[..., k:, :k], rhs[..., k:, k:] = d, -adjoint(c), eye
+    nu = np.linalg.eigvals(np.linalg.solve(lhs - _SHIFT * rhs, rhs)).reshape(len(c), -1)
+    w = 1.0 + _SHIFT * nu  # z = w / nu
+    unit = np.abs(np.abs(w) - np.abs(nu)) <= _UNIT * np.abs(nu)
+    count = np.count_nonzero(unit, axis=1)[:, None]
+    lo = np.sort(np.where(unit, np.angle(w * nu.conj()), 4.0 * math.pi), axis=1)  # each pair's cuts first
+    j = np.arange(lo.shape[1])
+    hi = np.where(j < count - 1, np.roll(lo, -1, axis=1), lo[:, :1] + 2.0 * math.pi)
+    p, j = np.nonzero((j < count) & (hi - lo > _ULPS * np.spacing(np.maximum(np.abs(hi), 1.0))))
+    lo, hi = lo[p, j], hi[p, j]
+    m = c[p] - np.exp(0.5j * (lo + hi))[:, None, None, None] * d[p]  # the blocks at each midpoint
+    # a column at least as long as the level puts sigma_1 above it; the SVD decides the rest
+    below = np.max(np.sum(m.real**2 + m.imag**2, axis=-2), axis=(-2, -1)) < levels[p] ** 2
+    if np.any(below):
+        below[below] = np.linalg.svd(m[below], compute_uv=False)[..., 0].max(axis=-1) < levels[p][below]
+    p, lo, hi = p[below], lo[below], hi[below]
+    return [list(zip(lo[p == i].tolist(), hi[p == i].tolist())) for i in range(len(c))]
 
 
 def _phase_search(phi0: float, margin: float):
-    """The phase search of one pair from phi0, as a generator driven by _search.
+    """The phase search of one pair from phi0, as a generator driven by _lockstep; returns the distance.
 
-    It yields a list of phases, is sent per phase the pair models of all
-    blocks in one list and their minorants along one axis
-    (_branches_and_minorants), and returns the distance.  margin bounds the
-    rounding of any value; a step that rises by more restarts the reach.
+    It yields a list of phases and is sent per phase the models and top
+    singular vectors of all blocks (_top_pairs), or yields (u, v, level) and
+    is sent the arcs of _arcs_below.  margin bounds the rounding of any value.
     """
-    found = []  # the minorants of every phase evaluated
+    seen = []  # (value, u, v) of the best evaluation of the first refinement and of every later one
 
-    def refine(phi: float, branches: list, lo: float, hi: float, best_f: float):
-        """Refine from phi in [lo, hi]: best value, stop phase, model-step reach (with no step, bracket's near side)."""
-        steps = [hi - lo, hi - lo]  # lengths of the steps taken, newest last
-        lo0, hi0, anchor = lo, hi, phi  # anchor: where the model steps since the last bisection or rise began
-        while best_f > 0.0:
-            f, slope = max(branches)[:2]
-            if f > best_f + margin:  # the model failed across the step: the steps reach from here
-                anchor = phi
-            best_f = min(best_f, f)
+    def evaluate(phases: list[float]):
+        replies = yield phases
+        seen.extend((max(models)[0], u, v) for models, u, v in replies)
+        return [models for models, _, _ in replies]
+
+    def refine(phi: float, models: list, lo: float, hi: float):
+        """Refine from phi in [lo, hi]: the smallest value seen."""
+        steps, best = [hi - lo, hi - lo], math.inf  # lengths of the steps taken, newest last
+        while True:
+            f, slope = max(models)[:2]
+            best = min(best, f)
             tol = _ULPS * math.ulp(max(abs(phi), 1.0))
-            if hi - lo <= tol:
-                break
-            if slope > 0.0:
-                hi = phi
-            elif slope < 0.0:
-                lo = phi
-            else:
-                break
-            h, low = _model_step(branches)
+            if best == 0.0 or hi - lo <= tol or slope == 0.0:
+                return best
+            lo, hi = (lo, phi) if slope > 0.0 else (phi, hi)
+            h, low = _model_step(models)
             if h is not None and (abs(h) <= tol or low is not None and 0.0 <= f - low <= _ULPS * math.ulp(f)):
-                break
+                return best
             # halving the step at least every other iterate bounds the count
             if h is None or not lo < phi + h < hi or abs(h) > 0.5 * steps[-2]:
                 h = 0.5 * (lo + hi) - phi
-                anchor = phi + h
             steps.append(abs(h))
             phi += h
-            [(branches, minorants)] = yield [phi]
-            found.append(minorants)
-        return best_f, phi, abs(phi - anchor) if len(steps) > 2 else min(phi - lo0, hi0 - phi)
+            [models] = yield from evaluate([phi])
 
-    closed, best_f, phases = [], math.inf, [phi0]
-    while True:
-        replies = yield phases
-        found += [minorants for _, minorants in replies]
-        values = [max(branches)[0] for branches, _ in replies]
-        j = int(np.argmin(values))
-        if values[j] < best_f:
-            lo, hi = _bracket(phases[j], values[j] + margin, np.concatenate(found, axis=1))
-            best_f, phi, reach = yield from refine(phases[j], replies[j][0], lo, hi, values[j])
-            closed.append((phi - reach, phi + reach))  # the arc its model steps reached
-        minorants = np.concatenate(found, axis=1)
-        arcs = _open_arcs(minorants, best_f - margin, closed) if best_f > margin else []
-        arcs = [(lo, hi) for lo, hi in arcs if hi - lo > _ULPS * math.ulp(max(abs(lo), abs(hi), 1.0))]
+    [models] = yield from evaluate([phi0])
+    best = yield from refine(phi0, models, phi0 - math.pi, phi0 + math.pi)
+    seen[:] = [min(seen, key=lambda e: e[0])]
+    while best > margin:
+        u, v = (np.concatenate([e[i] for e in seen], axis=-1) for i in (1, 2))
+        arcs = yield u, v, best - margin
         if not arcs:
-            return best_f
-        # one Shubert evaluation per arc, at the lowest of 16 points of the minorants' envelope
-        d, r, theta = minorants[:, :, None]
-        grids = [lo + (hi - lo) * (np.arange(16) + 0.5) / 16 for lo, hi in arcs]
-        phases = [float(g[np.argmin(np.max(np.hypot(d, r * np.sin(0.5 * (g - theta))), axis=0))]) for g in grids]
+            break
+        replies = yield from evaluate([0.5 * (lo + hi) for lo, hi in arcs])
+        value, j = min((max(models)[0], j) for j, models in enumerate(replies))
+        if value < best:
+            best = yield from refine(0.5 * sum(arcs[j]), replies[j], *arcs[j])
+    return best
 
 
 def _search(x: np.ndarray, y: np.ndarray) -> list[float]:
@@ -507,7 +493,7 @@ def _search(x: np.ndarray, y: np.ndarray) -> list[float]:
 
 
 def _lockstep(x: np.ndarray, y: np.ndarray) -> list[float]:
-    """_search on one thread: the searches of all pairs advance one round per stacked evaluation."""
+    """_search on one thread: a round evaluates every phase asked for, and certifies per number of vectors."""
     nb, n = x.shape[1], x.shape[-1]
     norms = np.linalg.norm(x, axis=(2, 3)) + np.linalg.norm(y, axis=(2, 3))
     margins = 4.0 * np.finfo(float).eps * norms.max(axis=1)
@@ -516,18 +502,24 @@ def _lockstep(x: np.ndarray, y: np.ndarray) -> list[float]:
     distances: list[float] = [0.0] * len(x)
     pending = {p: next(search) for p, search in enumerate(searches)}
     while pending:
-        asks = [(p, phi) for p, phases in pending.items() for phi in phases]
+        asks = [(p, phi) for p, ask in pending.items() if isinstance(ask, list) for phi in ask]
         xs, ys = (m[[p for p, _ in asks]].reshape(-1, n, n) for m in (x, y))
         z = np.repeat(np.exp(1j * np.array([phi for _, phi in asks])), nb)
-        out = [_branches_and_minorants(*(m[k : k + per] for m in (xs, ys, z))) for k in range(0, len(xs), per)]
-        branches = sum((br for br, _ in out), [])
-        # an ask's blocks are consecutive: its branches in one list, its minorants along one axis
-        mins = np.concatenate([mn for _, mn in out]).reshape(len(asks), nb, 3, n).transpose(0, 2, 1, 3)
-        tops = [sum(branches[k : k + nb], []) for k in range(0, len(branches), nb)]
-        replies = zip(tops, mins.reshape(len(asks), 3, -1))
-        for p, phases in list(pending.items()):
+        out = [_top_pairs(*(m[k : k + per] for m in (xs, ys, z))) for k in range(0, len(xs), per)]
+        models, us, vs = ([item for o in out for item in o[i]] for i in range(3))
+        # an ask's blocks are consecutive: its models and vectors in one list each
+        replies = ((models[k : k + nb], us[k : k + nb], vs[k : k + nb]) for k in range(0, len(us), nb))
+        certify: dict[int, list[int]] = {}  # number of singular vectors -> the pairs asking for arcs
+        for p, ask in pending.items():
+            if isinstance(ask, tuple):
+                certify.setdefault(ask[0].shape[-1], []).append(p)
+        answers = {}
+        for group in certify.values():
+            u, v, level = (np.array([pending[p][i] for p in group]) for i in range(3))
+            answers.update(zip(group, _arcs_below(x[group], y[group], u, v, level)))
+        for p, ask in list(pending.items()):
             try:
-                pending[p] = searches[p].send([next(replies) for _ in phases])
+                pending[p] = searches[p].send(answers[p] if p in answers else [next(replies) for _ in ask])
             except StopIteration as stop:
                 distances[p] = stop.value
                 del pending[p]
@@ -563,30 +555,34 @@ def phase_aligned_distances(
 
     Each evaluation of f is one full SVD per block: the two largest singular
     values with their first derivatives, their coupling and second-order
-    terms in phi, and a minorant of f at all phases from every singular pair
-    (_branches_and_minorants).  The first is at phi0 = arg tr(B^dag A), A and
-    B the projected arguments, summed over their blocks.  A refinement steps
-    to the nearest local minimum of the largest block model (_model_step):
-    one 2 x 2 model of each block's top singular pair, whose upper eigenvalue
-    holds across an avoided crossing of the pair (Lewis & Overton, Acta
-    Numerica 5 (1996) 149), with two branches and their crossing where the
-    pair crosses exactly.  Its bracket, first the arc around phi0 that the
-    minorants leave open, narrows with the sign of the slope; a step leaving
-    it or longer than half the step before last is replaced by bisection.  It
-    stops at a step of a few ulps of phi or where a smooth model minimum
-    predicts a decrease of at most 4 ulps of f, keeps the smallest value
-    seen, so distances are exact to rounding, and closes the arc around its
-    minimum that its model steps reached.  The minorants rule out in closed form every
-    phase where f cannot beat the best value by more than rounding.  Each arc
-    left gets one evaluation at the lowest point of the minorants' envelope
-    (Shubert, SIAM J. Numer. Anal. 9 (1972) 379), and a refinement runs
-    from one that beats the best value, until no arc is left.
+    terms in phi, and their singular vectors (_top_pairs).  The first is at
+    phi0 = arg tr(B^dag A), A and B the projected arguments, summed over
+    their blocks.  A refinement steps to the nearest local minimum of the
+    largest block model (_model_step): one 2 x 2 model of each block's top
+    singular pair, whose upper eigenvalue holds across an avoided crossing
+    of the pair (Lewis & Overton, Acta Numerica 5 (1996) 149), with two
+    branches and their crossing where the pair crosses exactly.  Its
+    bracket, first the whole circle around phi0, narrows with the sign of
+    the slope; a step leaving it or longer than half the step before last is
+    replaced by bisection.  It stops at a step of a few ulps of phi or where
+    a smooth model minimum predicts a decrease of at most 4 ulps of f, and
+    keeps the smallest value seen, so distances are exact to rounding.
+
+    A level-set certificate then proves the global minimum (_arcs_below;
+    Byers, SIAM J. Sci. Stat. Comput. 9 (1988) 875; Boyd & Balakrishnan,
+    Syst. Control Lett. 15 (1990) 1).  The top singular vectors at the best
+    phase, and at every later evaluation, compress A and B to a minorant of
+    f, whose crossings of the best value less a rounding margin are the unit
+    eigenvalues of a small pencil.  Each arc where it is below gets one
+    evaluation at its midpoint, where it becomes exact; a refinement runs
+    from the lowest, within its arc, if it beats the best value, and the
+    certificate runs again until no arc is left.
 
     Pairs are grouped by block shape, and each group is searched in lockstep
-    by one _search call, each round one stacked LAPACK call over every pair
-    and block of the group (capped at _STACK_BYTES); numpy's stacked calls are
-    bit-identical per matrix to single ones, so a pair's result does not
-    depend on the other pairs.
+    by one _search call, each round one stacked full-SVD call over every pair
+    and block of the group (capped at _STACK_BYTES) and one certificate per
+    number of vectors; numpy's stacked calls are bit-identical per matrix to
+    single ones, so a pair's result does not depend on the other pairs.
     """
     groups: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}  # block shape -> (position, blocks)
     for p, pair in enumerate(pairs):

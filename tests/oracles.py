@@ -9,6 +9,8 @@ from jcmagnus.hilbert import ATOM_EXCITED, ATOM_GROUND
 from jcmagnus.jc_model import _interaction_blocks
 from jcmagnus.magnus import IntegralSet, simpson_weights
 
+from conftest import random_unitary
+
 
 def _hamiltonian_stack(params, spec, ts, rwa: bool) -> np.ndarray:
     """h_rotated (rwa=False) or h_rwa (rwa=True) at each time of ts, shape (len(ts), dim, dim)."""
@@ -145,6 +147,24 @@ def phase_scan_distance(u1, u2, projector=None) -> float:
             break
         best = min(best, golden(coarse[k] - step, coarse[k] + step))
     return best
+
+
+def windowed_haar_pairs(seed: int, count: int) -> list:
+    """count far-apart pairs (u1, u2, projector) of Haar unitaries on a leading window, drawn from default_rng(seed).
+
+    Each draw is fock = integers(4, 7), then buffer = integers(1, min(3,
+    fock - 2) + 1), then u1 and u2 = random_unitary of dimension 2 fock;
+    projector keeps the leading 2 fock - buffer indices.  The window cuts
+    the unitaries, so f has several local minima of different depths.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        fock = int(rng.integers(4, 7))
+        buffer = int(rng.integers(1, min(3, fock - 2) + 1))
+        u1, u2 = random_unitary(rng, 2 * fock), random_unitary(rng, 2 * fock)
+        pairs.append((u1, u2, np.diag((np.arange(2 * fock) < 2 * fock - buffer).astype(complex))))
+    return pairs
 
 
 def branch_model_step(branches) -> float | None:

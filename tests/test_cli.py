@@ -600,8 +600,10 @@ def test_row_and_report_compute_only_printed_distances(monkeypatch, capsys):
 def test_row_lapack_calls(monkeypatch):
     # at the default point a row takes one stacked eigh for its four
     # exponentials and at most 4 SVD calls for its three distances, all full
-    # (the minorants and pair models of one round each), none values-only
-    calls = {"eigh": [], "svd": []}
+    # (the pair models and singular vectors of one round each), none
+    # values-only, and one eigvals call per level-set certificate: the three
+    # pairs end their refinements in different rounds
+    calls = {"eigh": [], "svd": [], "eigvals": []}
     for name in calls:
         real = getattr(np.linalg, name)
 
@@ -614,28 +616,39 @@ def test_row_lapack_calls(monkeypatch):
     assert len(calls["eigh"]) == 1
     assert 0 < len(calls["svd"]) <= 4
     assert all(calls["svd"])
+    assert len(calls["eigvals"]) == 3
 
 
 @pytest.mark.parametrize("fock", [48, 96])
 def test_report_svd_operands_stay_under_the_stack_cap(fock, monkeypatch, capsys):
-    # the phase search chunks its stacked SVD operands by block: none holds
-    # more blocks than fit in _STACK_BYTES, or more than one where a single
-    # block is larger
-    shapes = []
-    real_svd = np.linalg.svd
+    # the phase search chunks its stacked full-SVD operands by block: none
+    # holds more blocks than fit in _STACK_BYTES, or more than one where a
+    # single block is larger.  The level-set certificates work on compressed
+    # blocks: each eigvals operand is a stack of 4 x 4 pencils, from the two
+    # top singular pairs of each of a pair's two blocks, and no values-only
+    # SVD is needed
+    shapes = {"svd": [], "values": [], "eigvals": []}
+    real_svd, real_eigvals = np.linalg.svd, np.linalg.eigvals
 
     def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        shapes["svd" if kwargs.get("compute_uv", True) else "values"].append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
+    def recording_eigvals(a):
+        shapes["eigvals"].append(np.shape(a))
+        return real_eigvals(a)
+
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     cfg = RunConfig(fock_dim=fock)
     assert cli.cmd_report(cfg) == 0
     capsys.readouterr()
     keep = fock - cfg.buffer
     cap = max(1, propagator._STACK_BYTES // (16 * keep * keep))
-    assert shapes and all(shape[1:] == (keep, keep) for shape in shapes)
-    assert max(shape[0] for shape in shapes) <= cap
+    assert shapes["svd"] and all(shape[1:] == (keep, keep) for shape in shapes["svd"])
+    assert max(shape[0] for shape in shapes["svd"]) <= cap
+    assert shapes["eigvals"] and all(shape[1:] == (2, 4, 4) for shape in shapes["eigvals"])
+    assert shapes["values"] == []
 
 
 def test_row_and_report_share_the_full_matrix_distances(capsys):

@@ -42,6 +42,7 @@ from oracles import (
     midpoint_product,
     phase_scan_distance,
     rwa_doublet_propagator,
+    windowed_haar_pairs,
 )
 
 PARAMS = ModelParams(1.0, 0.8, 0.05)
@@ -475,7 +476,7 @@ def _grid_phases_below(a, b, floor, points=20_000):
     ],
 )
 def test_phase_alignment_below_every_grid_phase(fock, w0, g, t, pairs):
-    # the minorants certify the global minimum: no phase of a 20 000-point
+    # the level-set certificate proves the global minimum: no phase of a 20 000-point
     # grid has f below the returned distance by more than rounding
     bundle = propagator_bundle(ModelParams(1.0, w0, g), HilbertSpec(fock), t)
     corners = bundle.blocks[:, :, : fock - 2, : fock - 2]
@@ -486,7 +487,7 @@ def test_phase_alignment_below_every_grid_phase(fock, w0, g, t, pairs):
 
 def test_phase_alignment_below_every_grid_phase_haar():
     # far-apart Haar pairs on a window, where f has several local minima and
-    # the minorants are loose
+    # the compressed minorant is loose
     rng = np.random.default_rng(20261019)
     for dim, buffer in ((8, 1), (10, 2), (12, 3)):
         keep = np.arange(dim - buffer)
@@ -497,33 +498,93 @@ def test_phase_alignment_below_every_grid_phase_haar():
             assert _grid_phases_below(a, b, got - (1e-12 * got + 1e-15)).size == 0, (dim, buffer, got)
 
 
+def test_phase_alignment_finds_minima_a_refinement_misses():
+    # pairs 1266 and 3612 of the windowed Haar stream: the refinement from
+    # phi0 ends in a local minimum (1.807826075 and 1.787950477), and the
+    # level-set certificate finds the arc around the global minimum
+    stream = windowed_haar_pairs(4242, 4000)
+    for k, minimum in ((1266, 1.798217362), (3612, 1.779277765)):
+        u1, u2, proj = stream[k]
+        got, want = phase_aligned_distance(u1, u2, proj), phase_scan_distance(u1, u2, proj)
+        assert abs(got - want) <= 1e-12 * want + 1e-15, (k, got, want)
+        assert got == pytest.approx(minimum, abs=1e-9)
+
+
+def test_phase_search_evaluations_far_apart(monkeypatch):
+    # the first 300 pairs of the windowed Haar stream take at most 14.19
+    # evaluations per pair on average (10.3 measured); the bound is the mean
+    # of the scalar-minorant search that the level-set certificate replaced
+    seen = _count_evaluations(monkeypatch)
+    for u1, u2, proj in windowed_haar_pairs(4242, 300):
+        phase_aligned_distance(u1, u2, proj)
+    assert sum(seen) / 300 <= 14.19
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-13])
+def test_phase_alignment_singular_corners(scale):
+    # a window corner with a zero (or nearly zero) row or column: at sizes 1
+    # and 2 the compression keeps every direction, so C or D, and with them L
+    # or R of the level-set pencil, are singular; the shifted solve does not
+    # raise, and every distance is the scan oracle's
+    rng = np.random.default_rng(20261020)
+    for dim, keep in ((2, 1), (2, 2), (3, 3), (8, 6)):
+        u1, u2 = random_unitary(rng, dim), random_unitary(rng, dim)
+        a, b = u1.copy(), u2.copy()
+        a[0] *= scale
+        b[:, keep - 1] *= scale
+        proj = np.diag((np.arange(dim) < keep).astype(complex))
+        for x, y in ((a, u2), (u1, b), (a, b), (a, a.T)):
+            got, want = phase_aligned_distance(x, y, proj), phase_scan_distance(x, y, proj)
+            assert abs(got - want) <= 1e-12 * want + 1e-15, (dim, keep, got, want)
+
+
+def test_zero_distances_form_no_pencil(monkeypatch):
+    # identical pairs, globally rotated ones and zero windows end at their
+    # first evaluation, at or below the rounding margin, before any pencil
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real(a))
+    u = u_exact(PARAMS, HilbertSpec(8), 1.0)
+    haar = random_unitary(np.random.default_rng(3), 9)
+    pairs = [(u, u), (u, np.exp(0.83j) * u), (haar, haar), (haar, np.exp(-2.0j) * haar), (0 * u, 0 * u)]
+    for p in (None, project_buffer(HilbertSpec(8), 2)):
+        got = phase_aligned_distances(pairs[:2] + pairs[-1:], p)
+        assert max(got) <= 1e-15
+    assert max(phase_aligned_distances(pairs[2:4])) <= 1e-15
+    assert calls == []
+
+
 def test_error_report_stacks_svd_calls(monkeypatch):
     # the six distances of a row share stacked LAPACK calls, one full SVD
-    # call per round: the one at phi0 that gives the minorants, then the
-    # refinement's; none is values-only
-    calls = []
-    real_svd = np.linalg.svd
+    # call per round: the one at phi0, then the refinement's.  Each pair's
+    # level-set certificate is one eigvals call, batched with the pairs
+    # that end their refinement in the same round (three calls here), and
+    # the column bound settles every midpoint, so no SVD is values-only
+    calls = {"svd": [], "eigvals": []}
+    for name in calls:
+        real = getattr(np.linalg, name)
 
-    def counting_svd(*args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return real_svd(*args, **kwargs)
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name].append(kwargs.get("compute_uv", True))
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, name, counting)
     error_report(PARAMS, HilbertSpec(12), 1.0)
-    assert 0 < len(calls) <= 4
-    assert all(calls)
+    assert 0 < len(calls["svd"]) <= 4
+    assert all(calls["svd"])
+    assert len(calls["eigvals"]) == 3
 
 
 def _count_evaluations(monkeypatch) -> list[int]:
-    """The number of blocks in each _branches_and_minorants call from here on."""
+    """The number of blocks in each _top_pairs call from here on."""
     seen = []
-    real = propagator._branches_and_minorants
+    real = propagator._top_pairs
 
     def counting(x, y, z):
         seen.append(len(x))
         return real(x, y, z)
 
-    monkeypatch.setattr(propagator, "_branches_and_minorants", counting)
+    monkeypatch.setattr(propagator, "_top_pairs", counting)
     return seen
 
 
@@ -572,7 +633,7 @@ def test_pair_model_holds_across_an_avoided_crossing():
     # least 100 times closer than sigma_1's Taylor quadratic does
     x, y = _avoided_crossing_pair(1e-4, 0.2)
     phi0 = float(np.angle(np.vdot(y, x)))
-    [[block]], _ = propagator._branches_and_minorants(x[None], y[None], np.exp(np.array([1j * phi0])))
+    [block], _, _ = propagator._top_pairs(x[None], y[None], np.exp(np.array([1j * phi0])))
     s1, d1, r1, s2, _, _, k2 = block
     curv = r1 + 2.0 * k2 / (s1 - s2)
     at, h_min = propagator._pair_model(*block)
@@ -787,7 +848,7 @@ def test_worker_thread_exceptions_reach_the_caller(monkeypatch):
 
     bundle = propagator_bundle(PARAMS, HilbertSpec(48), 1.0)
     count_thread_starts(monkeypatch, cpus=2)
-    monkeypatch.setattr(propagator, "_branches_and_minorants", on_worker(propagator._branches_and_minorants))
+    monkeypatch.setattr(propagator, "_top_pairs", on_worker(propagator._top_pairs))
     with pytest.raises(RuntimeError) as info:
         block_distances(bundle.blocks, list(propagator._DISTANCE_PAIRS.values()))
     assert info.value is error
