@@ -8,6 +8,7 @@ excited state and atom index 1 the ground state (sigma_z = diag(+1, -1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -175,3 +176,39 @@ def expm_antiherm(gen: np.ndarray) -> np.ndarray:
             )
     return (q * np.exp(-1j * lam)[..., None, :]) @ adjoint(q)
 
+
+
+@lru_cache(maxsize=16)
+def _block_layout(fock_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, gather, cross) of the parity blocks of 2 fock_dim states.
+
+    Every model operator conserves the parity of n + [atom excited], so the
+    2N states split into two blocks of N, with Fock level n at position n of
+    either block.  index[b, n] is the basis index of position n of block b
+    (atom excited iff n + b is odd); gather[b, i, j] is the flat position of
+    block entry (i, j), and cross holds those of the entries between blocks.
+    """
+    n = np.arange(fock_dim)
+    index = 2 * n + 1 - (n + np.arange(2)[:, None]) % 2
+    gather = index[:, :, None] * (2 * fock_dim) + index[:, None, :]
+    cross = np.delete(np.arange(4 * fock_dim * fock_dim), gather.ravel())
+    for a in (index, gather, cross):
+        a.setflags(write=False)
+    return index, gather, cross
+
+
+def _banded(fock_dim: int, bands: dict[int, np.ndarray]) -> np.ndarray:
+    """Parity blocks, shape (2, N, N), zero but for bands[k][b, :N - |k|] on offset k of block b (k > 0 above the diagonal)."""
+    out = np.zeros((2, fock_dim * fock_dim), dtype=complex)
+    for k, band in bands.items():
+        # entry (i, i + k) of a block sits at flat position i (N + 1) + k, (i - k, i) at i (N + 1) - k N
+        out[:, (k if k >= 0 else -k * fock_dim) :: fock_dim + 1][:, : fock_dim - abs(k)] = band[:, : fock_dim - abs(k)]
+    return out.reshape(2, fock_dim, fock_dim)
+
+
+def _assemble(blocks: np.ndarray) -> np.ndarray:
+    """The full matrices, shape (..., 2N, 2N), of parity blocks of shape (..., 2, N, N), zero between the blocks."""
+    n, lead = blocks.shape[-1], blocks.shape[:-3]
+    full = np.zeros((*lead, 4 * n * n), dtype=complex)
+    full[..., _block_layout(n)[1]] = blocks
+    return full.reshape(*lead, 2 * n, 2 * n)

@@ -26,12 +26,15 @@ rotation_chain_residual and verify_bch all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .hilbert import (
+    ATOM_EXCITED,
     HilbertSpec,
+    _assemble,
+    _banded,
+    _block_layout,
     adjoint,
     annihilation,
     creation,
@@ -80,20 +83,23 @@ class ModelParams:
         return self.omega + self.omega0
 
 
-@lru_cache(maxsize=16)
-def _interaction_blocks(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
-    """The four lifted coupling blocks (a^dag sm, a sp, a^dag sp, a sm)."""
-    a = annihilation(spec)
-    ad = creation(spec)
-    blocks = (
-        tensor(ad, pauli("minus")),
-        tensor(a, pauli("plus")),
-        tensor(ad, pauli("plus")),
-        tensor(a, pauli("minus")),
-    )
-    for b in blocks:
-        b.setflags(write=False)
-    return blocks
+def _links(spec: HilbertSpec, co: complex, counter: complex) -> np.ndarray:
+    """Hermitian parity blocks with sqrt(n+1) co on link n -> n+1 where position n holds the excited atom.
+
+    The link carries sqrt(n+1) counter where position n holds the ground
+    atom, and the conjugates sit above the diagonal: the blocks of
+    co a^dag sm + counter a^dag sp + h.c.
+    """
+    n = spec.fock_dim
+    excited = _block_layout(n)[0][:, :-1] % 2 == ATOM_EXCITED
+    lower = np.sqrt(np.arange(1.0, n)) * np.where(excited, co, counter)
+    return _banded(n, {-1: lower, 1: lower.conj()})
+
+
+def _hamiltonian_blocks(params: ModelParams, spec: HilbertSpec, t: float, counter: bool = True) -> np.ndarray:
+    """Parity blocks of h_rotated at time t, or of h_rwa without the counter-rotating pair."""
+    co = 1j * np.exp(1j * params.delta * t)
+    return params.g * _links(spec, co, 1j * np.exp(1j * params.sigma * t) if counter else 0.0)
 
 
 def h_full(params: ModelParams, spec: HilbertSpec) -> np.ndarray:
@@ -109,23 +115,12 @@ def h_full(params: ModelParams, spec: HilbertSpec) -> np.ndarray:
 
 def h_rotated(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Doubly rotated interaction Hamiltonian at time t (Hermitian for all t)."""
-    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
-    g = params.g
-    d, s = params.delta, params.sigma
-    return g * (
-        1j * np.exp(1j * d * t) * ad_sm
-        - 1j * np.exp(-1j * d * t) * a_sp
-        + 1j * np.exp(1j * s * t) * ad_sp
-        - 1j * np.exp(-1j * s * t) * a_sm
-    )
+    return _assemble(_hamiltonian_blocks(params, spec, t))
 
 
 def h_rwa(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Rotated Hamiltonian with the sum-frequency (counter-rotating) pair dropped."""
-    ad_sm, a_sp, _, _ = _interaction_blocks(spec)
-    g = params.g
-    d = params.delta
-    return g * (1j * np.exp(1j * d * t) * ad_sm - 1j * np.exp(-1j * d * t) * a_sp)
+    return _assemble(_hamiltonian_blocks(params, spec, t, counter=False))
 
 
 def frame_phases(params: ModelParams, spec: HilbertSpec) -> np.ndarray:

@@ -85,9 +85,12 @@ constant coupling blocks B_i, so by bilinearity of the commutator
 
 where C_k are the block commutators of commutator_table (_omega2_from_integrals).
 omega2_closed feeds it the closed integrals and the closed commutators
--(n sz + P_e), -a^dag^2 sz, a^2 sz and n sz - P_g (_closed_commutators);
-omega2_quadrature feeds it the quadrature integrals and the commutators
-computed directly.  The same nodes and weights give Omega_1 from two scalar
+-(n sz + P_e), -a^dag^2 sz, a^2 sz and n sz - P_g (_closed_commutators), held
+as the diagonal and offset-2 bands of the two parity blocks, so the sum is
+Omega_2's bands; omega2_quadrature feeds it the quadrature integrals and the
+commutators computed directly from kron products.  Omega_1 and Omega_2 are
+built as parity blocks (_omega1_blocks, _omega2_blocks), which the
+propagators exponentiate as they are; the public functions assemble them.  The same nodes and weights give Omega_1 from two scalar
 Simpson sums of e^{i d u} and e^{i s u}; only the summation order differs
 from stacking h_rotated.
 """
@@ -101,8 +104,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import HilbertSpec, annihilation, creation, pauli, tensor
-from .jc_model import ModelParams, _interaction_blocks
+from .hilbert import ATOM_EXCITED, HilbertSpec, _assemble, _banded, _block_layout, annihilation, creation, pauli, tensor
+from .jc_model import ModelParams, _links
 
 __all__ = [
     "IntegralSet",
@@ -122,6 +125,8 @@ __all__ = [
 # Taylor coefficients (-1)^k 2k / (2k + 1)! of (u cos u - sin u) / u^3 in
 # powers of u^2 (k = 1..10), highest power first (np.polyval).
 _CROSS_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(10, 0, -1))
+# The offsets of the bands of the closed commutators, below the diagonal first.
+_OFFSETS = (-2, 0, 2)
 # Coefficients (-1)^(n-1) / (2n + 1)! of E(a, b)'s series in H_{n-1}(a^2, b^2), n = 1..12.
 _E_SERIES = tuple((-1) ** (n - 1) / math.factorial(2 * n + 1) for n in range(1, 13))
 
@@ -297,18 +302,26 @@ def integrals_quadrature(params: ModelParams, t: float, n: int) -> IntegralSet:
     return IntegralSet(i1=i1, i2=i2, i5=i5, i6=i6, zeta=i2, params=params)
 
 
+def _omega1_blocks(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
+    """Parity blocks of omega1_closed."""
+    _check_time(t)
+    return 1j * params.g * _links(spec, _phase_ramp(params.delta, t), _phase_ramp(params.sigma, t))
+
+
 def omega1_closed(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """First-order generator, anti-Hermitian by construction."""
-    _check_time(t)
-    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
-    cd = _phase_ramp(params.delta, t)
-    cs = _phase_ramp(params.sigma, t)
-    return 1j * params.g * (cd * ad_sm + np.conj(cd) * a_sp + cs * ad_sp + np.conj(cs) * a_sm)
+    return _assemble(_omega1_blocks(params, spec, t))
+
+
+def _omega2_blocks(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
+    """Parity blocks of omega2_closed, from the bands of the closed I_k and C_k."""
+    bands = _omega2_from_integrals(integrals_closed(params, t), _closed_commutators(spec))
+    return _banded(spec.fock_dim, dict(zip(_OFFSETS, bands)))
 
 
 def omega2_closed(params: ModelParams, spec: HilbertSpec, t: float) -> np.ndarray:
     """Second-order generator, Stark and Bloch-Siegert shifts plus squeezing, from the closed I_k and C_k."""
-    return _omega2_from_integrals(integrals_closed(params, t), _closed_commutators(spec))
+    return _assemble(_omega2_blocks(params, spec, t))
 
 
 def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int = 1024) -> np.ndarray:
@@ -331,19 +344,41 @@ def omega1_quadrature(params: ModelParams, spec: HilbertSpec, t: float, n: int =
 
 
 @lru_cache(maxsize=16)
-def _closed_commutators(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
-    """Closed forms of C1, C2, C5, C6: -(n sz + P_e), -a^dag^2 sz, a^2 sz and n sz - P_g.
-
-    They take [a, a^dag] = 1, which the truncated ladder breaks at the top
-    Fock level.  Built once per spec and read-only, like _interaction_blocks.
-    """
+def _interaction_blocks(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
+    """The four lifted coupling operators (a^dag sm, a sp, a^dag sp, a sm), read-only kron products."""
     a = annihilation(spec)
-    n = np.arange(spec.fock_dim, dtype=float)  # C1 and C6 are diagonal: (excited, ground) entries per level n
+    ad = creation(spec)
+    blocks = (
+        tensor(ad, pauli("minus")),
+        tensor(a, pauli("plus")),
+        tensor(ad, pauli("plus")),
+        tensor(a, pauli("minus")),
+    )
+    for b in blocks:
+        b.setflags(write=False)
+    return blocks
+
+
+@lru_cache(maxsize=16)
+def _closed_commutators(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
+    """Closed forms of C1, C2, C5, C6: -(n sz + P_e), -a^dag^2 sz, a^2 sz and n sz - P_g, as parity-block bands.
+
+    Each has shape (3, 2, N): its bands on the offsets _OFFSETS of each
+    parity block, as _banded reads them.  C1 and C6 are diagonal, and C2
+    and C5 keep the atom, so they sit two below and two above the diagonal.
+    They take [a, a^dag] = 1, which the truncated ladder breaks at the top
+    Fock level.  Built once per spec and read-only.
+    """
+    n = np.arange(spec.fock_dim, dtype=float)
+    excited = _block_layout(spec.fock_dim)[0] % 2 == ATOM_EXCITED
+    zero = np.zeros(excited.shape)
+    pair = zero.copy()  # sqrt(n+1) sqrt(n+2) sz on the link n -> n+2
+    pair[:, :-2] = np.sqrt(n[2:]) * np.sqrt(n[1:-1]) * np.where(excited[:, :-2], 1.0, -1.0)
     ops = (
-        np.diag(np.stack((-(n + 1.0), n), axis=1).reshape(-1)).astype(complex),
-        -tensor(creation(spec) @ creation(spec), pauli("z")),
-        tensor(a @ a, pauli("z")),
-        np.diag(np.stack((n, -(n + 1.0)), axis=1).reshape(-1)).astype(complex),
+        np.stack((zero, np.where(excited, -(n + 1.0), n), zero)),
+        np.stack((-pair, zero, zero)),
+        np.stack((zero, zero, pair)),
+        np.stack((zero, np.where(excited, n, -(n + 1.0)), zero)),
     )
     for op in ops:
         op.setflags(write=False)
@@ -353,7 +388,8 @@ def _closed_commutators(spec: HilbertSpec) -> tuple[np.ndarray, ...]:
 def _omega2_from_integrals(ints: IntegralSet, commutators: tuple[np.ndarray, ...]) -> np.ndarray:
     """(g^2/2) (I1 C1 + I2 C2 + I5 C5 + I6 C6): the second-order generator.
 
-    commutators are C1, C2, C5, C6 of commutator_table, closed or direct.  By
+    commutators are C1, C2, C5, C6: full matrices (the direct column of
+    commutator_table) or parity-block bands (_closed_commutators).  By
     bilinearity of the commutator this is -1/2 times the double integral of
     [h_rotated(t1), h_rotated(t2)] for whatever rule produced the I_k.
     """
@@ -384,7 +420,7 @@ def commutator_table(spec: HilbertSpec) -> list[tuple[str, np.ndarray, np.ndarra
     sigma_-^2 = sigma_+^2 = 0, so their closed form is zero.
     """
     ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
-    c1, c2, c5, c6 = (c.copy() for c in _closed_commutators(spec))
+    c1, c2, c5, c6 = (_assemble(_banded(spec.fock_dim, dict(zip(_OFFSETS, c)))) for c in _closed_commutators(spec))
     zero = np.zeros((spec.dim, spec.dim), dtype=complex)
     return [
         (label, x @ y - y @ x, closed)

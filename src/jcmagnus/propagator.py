@@ -13,19 +13,16 @@ U(t) = D(t) exp(-i t (H(0) + F)): one Hermitian eigendecomposition, exact to
 rounding for every t and unitary by construction.
 
 Block layout.  Every operator here conserves the parity of n + [atom
-excited], because the counter-rotating terms change the excitation number by
-two.  The 2N states (N = fock_dim) split into two parity blocks of N states,
-and inside either block the state of Fock level n sits at position n.  Only
-_block_layout knows which basis index sits where: _gather splits full
-matrices on Fock levels 0 .. L-1 into their blocks and says whether they
-couple them, and PropagatorBundle puts blocks back.  A propagator is held as
-its two blocks, an (2, N, N) array, so the buffered window of project_buffer
-(Fock levels 0 .. N-1-buffer) is the leading (N - buffer) corner of each
-block.  _bundles gathers the four generators of every point into their blocks
-(one that couples the blocks raises), exponentiates the blocks of all points
-in stacked eigh calls, and lets D(t) scale the rows of the two frame kinds.
-Full 2N x 2N matrices, with cross-parity entries zero, are assembled only
-where read: the PropagatorBundle fields, which u_exact, u_rwa, u_magnus return.
+excited], so a propagator is held as its two parity blocks (hilbert's
+_block_layout), an (2, N, N) array, and the buffered window of
+project_buffer (Fock levels 0 .. N-1-buffer) is the leading (N - buffer)
+corner of each block.  _bundles builds the four generators of every point
+as blocks (jc_model and magnus build them so), exponentiates the blocks of
+all points in stacked eigh calls, and lets D(t) scale the rows of the two
+frame kinds.  Full 2N x 2N matrices are assembled (hilbert's _assemble) only
+where read: the PropagatorBundle fields, which u_exact, u_rwa, u_magnus
+return.  _gather splits full matrices that callers pass in, and says
+whether they couple the blocks.
 
 Errors are phase-aligned spectral-norm distances on the buffered window
 (phase_aligned_distances), because ladder truncation corrupts the top levels
@@ -49,13 +46,13 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .hilbert import HilbertSpec, _hermitian_norm, adjoint, expm_antiherm
-from .jc_model import ModelParams, frame_phases, h_rotated, h_rwa
-from .magnus import convergence_margin, omega1_closed, omega2_closed
+from .hilbert import HilbertSpec, _assemble, _block_layout, _hermitian_norm, adjoint, expm_antiherm
+from .jc_model import ModelParams, _hamiltonian_blocks, frame_phases
+from .magnus import _omega1_blocks, _omega2_blocks, convergence_margin
 
 __all__ = [
     "DEFAULT_BUFFER",
@@ -100,23 +97,6 @@ _DISTANCE_PAIRS = {
 }
 
 
-@lru_cache(maxsize=16)
-def _block_layout(fock_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, gather, cross) of the parity blocks of 2 fock_dim states.
-
-    index[b, n] is the basis index of position n of block b (Fock level n,
-    atom excited iff n + b is odd); gather[b, i, j] is the flat position of
-    block entry (i, j), and cross holds those of the entries between blocks.
-    """
-    n = np.arange(fock_dim)
-    index = 2 * n + 1 - (n + np.arange(2)[:, None]) % 2
-    gather = index[:, :, None] * (2 * fock_dim) + index[:, None, :]
-    cross = np.delete(np.arange(4 * fock_dim * fock_dim), gather.ravel())
-    for a in (index, gather, cross):
-        a.setflags(write=False)
-    return index, gather, cross
-
-
 def _gather(mats, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """(blocks, couples) of a stack of square matrices on Fock levels 0 .. levels-1.
 
@@ -142,11 +122,8 @@ class PropagatorBundle:
 
     @cached_property
     def _matrices(self) -> np.ndarray:
-        """The four full matrices: _block_layout's gather map puts each block entry back."""
-        n = self.blocks.shape[2]
-        full = np.zeros((4, 4 * n * n), dtype=complex)
-        full[:, _block_layout(n)[1]] = self.blocks
-        return full.reshape(4, 2 * n, 2 * n)
+        """The four full matrices, assembled from the blocks."""
+        return _assemble(self.blocks)
 
     u_exact = property(lambda self: self._matrices[0])
     u_rwa = property(lambda self: self._matrices[1])
@@ -202,17 +179,14 @@ def _in_halves(job, count: int, side: int, crossover: int) -> list:
     return first + second[0]
 
 
-def _expm_blockwise(gens: list[np.ndarray]) -> np.ndarray:
-    """exp(G) of each parity-conserving anti-Hermitian G on 2 N states, as its blocks, shape (len(gens), 2, N, N).
+def _expm_blockwise(blocks: np.ndarray) -> np.ndarray:
+    """exp(G) of each parity block of a stack of anti-Hermitian generators, shape (k, 2, N, N), in that shape.
 
     All blocks go in one stacked expm_antiherm call when they fit in _STACK_BYTES,
     else one generator's two blocks per call (all eight measured slower).  At
     N >= _EXPM_THREAD_SIDE _in_halves runs half of the calls on a second
     thread; stacked eigh is bit-identical per matrix, so the split changes no bit.
     """
-    blocks, couples = _gather(gens, gens[0].shape[0] // 2)
-    if np.any(couples):
-        raise ValueError("generator couples the two excitation-parity blocks")
     stack = blocks.reshape(-1, *blocks.shape[2:])
     per = len(stack) if stack.nbytes <= _STACK_BYTES else 2
     starts = range(0, len(stack), per)
@@ -624,13 +598,17 @@ def _bundles(spec: HilbertSpec, points: list[tuple[ModelParams, float]]) -> list
     at _block_layout's index[b, n].  A negative or non-finite t raises ValueError.
     """
     n, gens, frames = spec.fock_dim, [], []
+    index, diagonal = _block_layout(n)[0], np.arange(n)
     for params, t in points:
-        omega1 = omega1_closed(params, spec, t)  # rejects a negative or non-finite t
-        framed, phases = t != 0.0 and params.g != 0.0, frame_phases(params, spec)
-        gens += [-1j * t * (h(params, spec, 0.0) + np.diag(phases)) for h in (h_rotated, h_rwa) if framed]
-        gens += [omega1, omega1 + omega2_closed(params, spec, t)]
-        frames.append(np.exp(1j * t * phases)[_block_layout(n)[0]] if framed else None)
-    exps, k, bundles = _expm_blockwise(gens), 0, []
+        omega1 = _omega1_blocks(params, spec, t)  # rejects a negative or non-finite t
+        framed, phases = t != 0.0 and params.g != 0.0, frame_phases(params, spec)[index]
+        for counter in (True, False) if framed else ():
+            h = _hamiltonian_blocks(params, spec, 0.0, counter)
+            h[:, diagonal, diagonal] = phases  # H(0) + F: the coupling has no diagonal
+            gens.append(-1j * t * h)
+        gens += [omega1, omega1 + _omega2_blocks(params, spec, t)]
+        frames.append(np.exp(1j * t * phases) if framed else None)
+    exps, k, bundles = _expm_blockwise(np.stack(gens)), 0, []
     for frame in frames:
         if frame is None:
             blocks, k = np.concatenate([np.broadcast_to(np.eye(n), (2, 2, n, n)), exps[k : k + 2]]), k + 2

@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 
-from jcmagnus.hilbert import ATOM_EXCITED, ATOM_GROUND
-from jcmagnus.jc_model import _interaction_blocks
+from jcmagnus.hilbert import ATOM_EXCITED, ATOM_GROUND, annihilation, creation, pauli, tensor
 from jcmagnus.magnus import IntegralSet, simpson_weights
 
 from conftest import random_unitary
 
 
+def coupling_krons(spec) -> tuple[np.ndarray, ...]:
+    """The four coupling operators a^dag sm, a sp, a^dag sp, a sm as kron products of ladder and Pauli matrices."""
+    a, ad = annihilation(spec), creation(spec)
+    return tuple(tensor(f, pauli(s)) for f, s in ((ad, "minus"), (a, "plus"), (ad, "plus"), (a, "minus")))
+
+
 def _hamiltonian_stack(params, spec, ts, rwa: bool) -> np.ndarray:
     """h_rotated (rwa=False) or h_rwa (rwa=True) at each time of ts, shape (len(ts), dim, dim)."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    ad_sm, a_sp, ad_sp, a_sm = _interaction_blocks(spec)
+    ad_sm, a_sp, ad_sp, a_sm = coupling_krons(spec)
     g = params.g
     ed = np.exp(1j * params.delta * ts)[:, None, None]
     out = g * (1j * ed * ad_sm - 1j * ed.conj() * a_sp)

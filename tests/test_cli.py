@@ -405,9 +405,10 @@ def test_verify_builds_inner_sums_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_verify_antihermiticity_fails_on_parity_coupling(monkeypatch, capsys):
-    # the ANTIHERMITICITY norms are taken per parity block; a generator with
-    # an (anti-Hermitian) entry between the blocks fails instead of passing
+def test_verify_omega1_oracle_catches_parity_coupling(monkeypatch, capsys):
+    # the closed generators are built as parity blocks, so none can couple
+    # them; an omega1_closed with an (anti-Hermitian) entry between the
+    # blocks fails against the kron-built quadrature oracle
     real_omega1 = cli.omega1_closed
 
     def coupled(params, spec, t):
@@ -418,7 +419,7 @@ def test_verify_antihermiticity_fails_on_parity_coupling(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "omega1_closed", coupled)
     assert cli.cmd_verify(RunConfig(fock_dim=8, quad_steps=256)) == 1
-    assert "ANTIHERMITICITY FAIL inf" in capsys.readouterr().out
+    assert "OMEGA1_CLOSED_VS_QUADRATURE FAIL 1.000e-03" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("fock", ["12", "24"])
@@ -432,17 +433,14 @@ def test_verify_buffer_zero_passes(fock, capsys):
 def test_verify_buffer_zero_catches_flipped_squeeze(monkeypatch, capsys):
     # an Omega_2 whose squeeze term has the wrong sign still fails the
     # quadrature oracle and the order-by-order scaling at --buffer 0
-    real_omega2 = cli.omega2_closed
+    real = magnus._closed_commutators
 
-    def flipped(params, spec, t):
-        res = real_omega2(params, spec, t)
+    def flipped(spec):
         # the squeeze term (g^2/2) (zeta^* C5 + zeta C2) with C5 = a^2 sz, C2 = -a^dag^2 sz
-        _, c2, c5, _ = magnus._closed_commutators(spec)
-        zeta, g2 = magnus.integrals_closed(params, t).zeta, params.g * params.g
-        return res - g2 * (np.conj(zeta) * c5 + zeta * c2)
+        c1, c2, c5, c6 = real(spec)
+        return c1, -c2, -c5, c6
 
-    monkeypatch.setattr(cli, "omega2_closed", flipped)
-    monkeypatch.setattr(propagator, "omega2_closed", flipped)
+    monkeypatch.setattr(magnus, "_closed_commutators", flipped)
     assert main(["verify", "--buffer", "0"]) == 1
     status = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines())
     assert status["OMEGA2_CLOSED_VS_QUADRATURE"] == status["ERROR_SCALING"] == "FAIL"
@@ -748,3 +746,17 @@ def test_one_usable_cpu_gives_the_same_report_serially(monkeypatch, capsys):
     assert cli.cmd_report(cfg) == 0
     assert started == []
     assert capsys.readouterr().out == threaded
+
+
+def test_verify_squeezing_line_names_the_failed_criterion(capsys):
+    # at t = 1e-6 the variances agree but theta_min does not, and the FAIL
+    # line prints the theta gap, not the variance gap
+    assert main(["verify", "--t", "1e-6"]) == 1
+    status = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    params, spec = ModelParams(1.0, 0.8, 0.05), HilbertSpec(24)
+    gaps = []
+    for atom in ("e", "g"):
+        dtheta = abs(squeezing_report(params, spec, 1e-6, atom).theta_min - cli.gaussian_squeezing(params, 1e-6, atom).theta_min)
+        gaps.append(min(dtheta % math.pi, math.pi - dtheta % math.pi))
+    assert max(gaps) > 1e-3
+    assert status["SQUEEZING_VARIANCE"] == ["FAIL", f"{max(gaps):.3e}"]

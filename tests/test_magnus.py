@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -7,10 +8,14 @@ import pytest
 from jcmagnus.cli import main
 from jcmagnus.hilbert import (
     HilbertSpec,
+    annihilation,
     anti_hermiticity_defect,
+    creation,
+    pauli,
     spectral_norm,
+    tensor,
 )
-from jcmagnus.jc_model import ModelParams, h_rotated
+from jcmagnus.jc_model import ModelParams, h_rotated, h_rwa
 from jcmagnus.magnus import (
     commutator_table,
     convergence_margin,
@@ -24,7 +29,7 @@ from jcmagnus.magnus import (
     simpson_weights,
     zeta_resonance_limit,
 )
-from jcmagnus.magnus import _inner_sums, _sinc_quotient
+from jcmagnus.magnus import _inner_sums, _phase_ramp, _sinc_quotient
 from jcmagnus.observables import gaussian_squeezing, squeezing_report
 from jcmagnus.propagator import project_buffer
 
@@ -543,3 +548,37 @@ def test_omega2_shift_blocks_act_on_number_basis():
     idx = spec.index(3, 1)  # |3, g>
     expected = 1j * g2 * (fd * (-3.0) + fs * (3.0 + 1.0))
     assert om2[idx, idx] == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("fock", [6, 12, 24])
+def test_generators_equal_kron_sums(fock):
+    # h_rotated, h_rwa, omega1_closed, omega2_closed and the closed column of
+    # commutator_table equal, entry for entry, sums of kron products built
+    # here from the ladder and Pauli matrices
+    from oracles import coupling_krons
+
+    spec = HilbertSpec(fock)
+    ad_sm, a_sp, ad_sp, a_sm = coupling_krons(spec)
+    a, ad, eye = annihilation(spec), creation(spec), np.eye(fock)
+    nsz = tensor(np.diag(np.arange(fock, dtype=float)), pauli("z"))
+    closed = (
+        -(nsz + tensor(eye, pauli("proj_e"))),
+        -tensor(ad @ ad, pauli("z")),
+        tensor(a @ a, pauli("z")),
+        nsz - tensor(eye, pauli("proj_g")),
+    )
+    table = commutator_table(spec)
+    for k, c in zip((0, 1, 4, 5), closed):
+        assert np.array_equal(table[k][2], c)
+    for w0, g, t in itertools.product((0.8, 1.0, 1.1), (0.0, 0.05, 0.2), (0.0, 0.7, 3.0)):
+        p = ModelParams(1.0, w0, g)
+        ed, es = np.exp(1j * p.delta * t), np.exp(1j * p.sigma * t)
+        co = g * (1j * ed * ad_sm - 1j * np.exp(-1j * p.delta * t) * a_sp)
+        assert np.array_equal(h_rwa(p, spec, t), co)
+        assert np.array_equal(h_rotated(p, spec, t), co + g * (1j * es * ad_sp - 1j * np.exp(-1j * p.sigma * t) * a_sm))
+        cd, cs = _phase_ramp(p.delta, t), _phase_ramp(p.sigma, t)
+        om1 = 1j * g * (cd * ad_sm + np.conj(cd) * a_sp + cs * ad_sp + np.conj(cs) * a_sm)
+        assert np.array_equal(omega1_closed(p, spec, t), om1)
+        ints = integrals_closed(p, t)
+        om2 = 0.5 * g * g * sum(i * c for i, c in zip((ints.i1, ints.i2, ints.i5, ints.i6), closed))
+        assert np.array_equal(omega2_closed(p, spec, t), om2)

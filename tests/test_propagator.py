@@ -193,14 +193,11 @@ def test_negative_t_is_rejected(call):
 
 
 def test_expm_blockwise_rejects_bad_generators(rng):
-    # any generator of the list that couples the parity blocks, or that is
-    # not anti-Hermitian, raises
+    # any generator of the stack that is not anti-Hermitian raises
     spec = HilbertSpec(6)
     diag = 1j * np.diag(frame_phases(PARAMS, spec))
-    with pytest.raises(ValueError, match="parity"):
-        _expm_blockwise([diag, 0.1 * random_antihermitian(rng, spec.dim)])
     with pytest.raises(ValueError, match="anti-Hermitian"):
-        _expm_blockwise([diag, diag + 0.1 * np.eye(spec.dim)])
+        _expm_blockwise(_gather([diag, diag + 0.1 * np.eye(spec.dim)], spec.fock_dim)[0])
 
 
 @pytest.mark.parametrize("steps", [1, 5, 64, 129])
@@ -827,7 +824,7 @@ def test_threaded_exponentials_equal_single_calls(monkeypatch):
     frame = -1j * (h_rotated(params, spec, 0.0) + np.diag(frame_phases(params, spec)))
     gens = [frame, omega1, omega1 + omega2_closed(params, spec, 1.0)]
     started = count_thread_starts(monkeypatch, cpus=2)
-    got = _expm_blockwise(gens)
+    got = _expm_blockwise(_gather(gens, 48)[0])
     assert len(started) == 1
     for g, blocks in zip(gens, got):
         assert np.array_equal(blocks, expm_antiherm(_gather([g], 48)[0][0]))
@@ -856,3 +853,27 @@ def test_worker_thread_exceptions_reach_the_caller(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         propagator_bundle(PARAMS, HilbertSpec(48), 1.0)
     assert info.value is error
+
+
+@pytest.mark.parametrize("fock", [8, 12, 24, 48])
+def test_bundle_blocks_equal_exponentials_of_kron_generators(fock, monkeypatch):
+    # each bundle block is, bit for bit, expm_antiherm of the parity block of
+    # a generator built here from kron products, with D(t) on the rows of
+    # the two frame kinds; fock 48 takes the two-thread exponentials
+    from jcmagnus.magnus import _phase_ramp
+    from oracles import coupling_krons, h_rotated_stack, h_rwa_stack
+
+    spec = HilbertSpec(fock)
+    ad_sm, a_sp, ad_sp, a_sm = coupling_krons(spec)
+    index = _block_layout(fock)[0]
+    started = count_thread_starts(monkeypatch, cpus=2)
+    for p, t in ((PARAMS, 1.0), (ModelParams(1.0, 1.0, 0.2), 3.0)):
+        phases = frame_phases(p, spec)
+        frame = [-1j * t * (h(p, spec, [0.0])[0] + np.diag(phases)) for h in (h_rotated_stack, h_rwa_stack)]
+        cd, cs = _phase_ramp(p.delta, t), _phase_ramp(p.sigma, t)
+        om1 = 1j * p.g * (cd * ad_sm + np.conj(cd) * a_sp + cs * ad_sp + np.conj(cs) * a_sm)
+        gens = [*frame, om1, om1 + omega2_closed(p, spec, t)]
+        want = np.stack([expm_antiherm(blocks) for blocks in _gather(gens, fock)[0]])
+        want[:2] = np.exp(1j * t * phases)[index][:, :, None] * want[:2]
+        assert np.array_equal(propagator._bundles(spec, [(p, t)])[0].blocks, want)
+    assert len(started) == (2 if fock == 48 else 0)

@@ -97,14 +97,27 @@ def test_cross_module_private_imports():
     assert imported == {
         ("cli", "jc_model", "_bch_residuals"),
         ("cli", "jc_model", "_rotation_chain"),
+        ("cli", "magnus", "_omega1_blocks"),
+        ("cli", "magnus", "_omega2_blocks"),
         ("cli", "magnus", "_omega2_from_integrals"),
         ("cli", "observables", "_bs_phase"),
         ("cli", "propagator", "_DISTANCE_PAIRS"),
         ("cli", "propagator", "_bundles"),
         ("cli", "propagator", "_gather"),
-        ("magnus", "jc_model", "_interaction_blocks"),
-        ("observables", "propagator", "_block_layout"),
+        ("jc_model", "hilbert", "_assemble"),
+        ("jc_model", "hilbert", "_banded"),
+        ("jc_model", "hilbert", "_block_layout"),
+        ("magnus", "hilbert", "_assemble"),
+        ("magnus", "hilbert", "_banded"),
+        ("magnus", "hilbert", "_block_layout"),
+        ("magnus", "jc_model", "_links"),
+        ("observables", "magnus", "_omega2_blocks"),
+        ("propagator", "hilbert", "_assemble"),
+        ("propagator", "hilbert", "_block_layout"),
         ("propagator", "hilbert", "_hermitian_norm"),
+        ("propagator", "jc_model", "_hamiltonian_blocks"),
+        ("propagator", "magnus", "_omega1_blocks"),
+        ("propagator", "magnus", "_omega2_blocks"),
     }
 
 
