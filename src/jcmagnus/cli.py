@@ -432,21 +432,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
         open(cfg.output_path, "a").close()  # fails on an unwritable path before any row, keeps its content
     except OSError as exc:
         raise ValueError(f"output_path {cfg.output_path!r} is not writable: {exc}") from exc
-    # the rows go to a scratch file first, so a sweep that raises leaves output_path as it was
-    with tempfile.TemporaryFile("w+", newline="", encoding="utf-8") as rows:
-        try:
+    # the rows go to a temporary file that replaces output_path once complete: a sweep that raises leaves it as it was
+    target = os.path.realpath(cfg.output_path)
+    rows = tempfile.NamedTemporaryFile("w", newline="", encoding="utf-8", dir=os.path.dirname(target), delete=False)
+    try:
+        with rows:
+            os.chmod(rows.name, os.stat(target).st_mode & 0o7777)
             writer = csv.writer(rows)
             writer.writerow(SWEEP_FIELDS)
             for w0, g, t in itertools.product(omega0s, gs, ts):
                 row = compute_row(cfg, w0, g, t)
                 writer.writerow([_fmt(getattr(row, name)) for name in SWEEP_FIELDS])
-        except BaseException:
-            if not existed:
-                os.remove(cfg.output_path)
-            raise
-        rows.seek(0)
-        with open(cfg.output_path, "w", newline="", encoding="utf-8") as handle:
-            handle.writelines(rows)
+        os.replace(rows.name, target)
+    except BaseException:
+        os.remove(rows.name)
+        if not existed:
+            os.remove(cfg.output_path)
+        raise
     return 0
 
 

@@ -133,13 +133,13 @@ def anti_hermiticity_defect(gen: np.ndarray) -> float:
     return _hermitian_norm(gen + adjoint(gen))
 
 
-def anti_herm_tolerance(norm: float) -> float:
-    """Acceptance tolerance for (anti-)Hermiticity checks.
+def anti_herm_tolerance(norm: float | np.ndarray) -> float | np.ndarray:
+    """Acceptance tolerance for (anti-)Hermiticity checks, of a norm or elementwise of an array of norms.
 
     Relative above unit scale: quadrature-built generators carry integration
     error proportional to their own size.
     """
-    return 1e-10 * max(1.0, norm)
+    return 1e-10 * np.maximum(1.0, norm)
 
 
 def expm_antiherm(gen: np.ndarray) -> np.ndarray:
@@ -166,10 +166,9 @@ def expm_antiherm(gen: np.ndarray) -> np.ndarray:
     h = 0.5 * (h + adjoint(h))  # strip the rounding-level skew part
     lam, q = np.linalg.eigh(h)
     sym = (gen + adjoint(gen)).reshape(-1, *gen.shape[-2:])
-    scales = np.ravel(np.max(np.abs(lam), axis=-1))
-    for m, frobenius, scale in zip(sym, np.linalg.norm(sym, axis=(1, 2)), scales):
-        tol = anti_herm_tolerance(float(scale))
-        if frobenius > tol and (defect := _hermitian_norm(m)) > tol:
+    tols = anti_herm_tolerance(np.abs(lam).max(axis=-1).ravel())
+    for k in np.flatnonzero(np.linalg.norm(sym, axis=(1, 2)) > tols):
+        if (defect := _hermitian_norm(sym[k])) > (tol := float(tols[k])):
             raise ValueError(
                 f"generator is not anti-Hermitian: ||G + G^dag|| = {defect:.3e} "
                 f"exceeds tolerance {tol:.3e}"

@@ -30,8 +30,9 @@ and two propagators may differ by a global phase.  One search, _search(x, y),
 takes the blocks of many pairs, shape (pairs, blocks, n, n), and runs their
 distances in lockstep, one stacked full-SVD call per round, whose top
 singular pairs drive the refinements and then compress a level-set
-certificate of the global minimum.  block_distances slices x and y from the
-block corners; phase_aligned_distances gathers full-matrix windows into them.
+certificate of the global minimum, one call for the batch once no pair asks
+for an evaluation.  block_distances slices x and y from the block corners;
+phase_aligned_distances gathers full-matrix windows into them.
 
 Threads.  From block side 20 (search) and 40 (exponentials) on, with two
 usable CPUs, _in_halves runs half of the pairs or eigh calls on a second
@@ -81,6 +82,7 @@ _STACK_BYTES = 128 * 1024
 # The pencil's shift, off the unit circle, and how near to it an eigenvalue
 # counts as a crossing of the level (_arcs_below).
 _SHIFT, _UNIT = 2.0 + 1.0j, 1e-6
+_EPS = np.finfo(float).eps
 # Block sides from which the distance search and the exponentials split their
 # work across two threads (_in_halves); below them a thread slows them down.
 _SEARCH_THREAD_SIDE, _EXPM_THREAD_SIDE = 20, 40
@@ -259,20 +261,20 @@ def _top_pairs(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[list, np.nd
     dz = (-1j * z)[:, None, None]
     col = dz * (uh @ w[:, :, :top])  # K_jk for the top k
     row = adjoint(dz * (uh[:, :top] @ w))  # conj(K_kj)
-    kk = np.diagonal(col, axis1=1, axis2=2)
+    kk = col.diagonal(0, 1, 2)
     gaps = s[:, None, :top] - s[:, :, None]
     if top == 2:
-        gaps[:, [1, 0], [0, 1]] = 0.0  # the pair's own term, which kappa carries
+        gaps[:, 1, 0] = gaps[:, 0, 1] = 0.0  # the pair's own term, which kappa carries
     curv = -kk.imag
     for num, den in ((np.abs(col + row) ** 2, gaps), (np.abs(col - row) ** 2, s[:, None, :top] + s[:, :, None])):
-        curv = curv + np.sum(np.divide(num, 2.0 * den, out=np.zeros(num.shape), where=den != 0), axis=1)
-    kappa = 0.5 * (col[:, 1, 0] + row[:, 1, 0]) if top == 2 else np.zeros(len(s))
-    cols = (s[:, 0], kk.real[:, 0], curv[:, 0], s[:, top - 1], kk.real[:, top - 1], curv[:, top - 1], np.abs(kappa) ** 2)
+        curv = curv + np.divide(num, 2.0 * den, out=np.zeros(num.shape), where=den != 0).sum(axis=1)
+    k2 = np.abs(0.5 * (col[:, 1, 0] + row[:, 1, 0])) ** 2 if top == 2 else np.zeros(len(s))
+    cols = (s[:, 0], kk.real[:, 0], curv[:, 0], s[:, top - 1], kk.real[:, top - 1], curv[:, top - 1], k2)
     return list(zip(*(c.tolist() for c in cols))), u[:, :, :top], adjoint(vh[:, :top])
 
 
 def _pair_model(s1: float, d1: float, r1: float, s2: float, d2: float, r2: float, k2: float):
-    """(at, h): at(h) = (m, m', m'') of one block's pair model m, and h its smooth minimum or None.
+    """(at, h, m): at(h) = (m, m', m'') of one block's pair model m, h its smooth minimum and m(h), or None, None.
 
     m(h) is the upper eigenvalue of [[q_1(h), kappa h], [conj(kappa) h, q_2(h)]],
     q_i = s_i + d_i h + r_i h^2 / 2, k2 = |kappa|^2 > 0.  With r = 0 it is
@@ -297,12 +299,12 @@ def _pair_model(s1: float, d1: float, r1: float, s2: float, d2: float, r2: float
     for _ in range(8):
         m, slope, curv = at(h)
         if not curv > 0.0:
-            return at, None
+            return at, None, None
         if slope * slope <= 2.0 * curv * math.ulp(m):
             gap = math.hypot(s1 - s2 + (d1 - d2 + 0.5 * (r1 - r2) * h) * h, 2.0 * math.sqrt(k2) * h)
-            return at, (h if gap > 1e3 * np.finfo(float).eps * s1 else None)
+            return (at, h, m) if gap > 1e3 * _EPS * s1 else (at, None, None)
         h -= slope / curv
-    return at, None
+    return at, None, None
 
 
 def _model_step(blocks: list[tuple[float, ...]]) -> tuple[float | None, float | None]:
@@ -323,16 +325,17 @@ def _model_step(blocks: list[tuple[float, ...]]) -> tuple[float | None, float | 
     minima first, then crossings by pair of models; of equally near ones the
     first wins.  value is None at a kink, and both are None without a minimum.
     """
-    models = []  # (at: h -> (value, slope, curvature), Taylor quadratic at 0, smooth minimum, is a pair model)
+    models = []  # (at: h -> (value, slope, curvature), Taylor quadratic at 0, smooth minimum, its value, pair model?)
     for s1, d1, r1, s2, d2, r2, k2 in blocks:
         pull = 2.0 * k2 / (s1 - s2) if s1 > s2 else 0.0  # the pair's own term of sigma_k''
-        at, h = _pair_model(s1, d1, r1, s2, d2, r2, k2) if pull > 0.0 else (None, None)
+        at, h, m = _pair_model(s1, d1, r1, s2, d2, r2, k2) if pull > 0.0 else (None, None, None)
         if h is not None:
-            models.append((at, (s1, d1, r1 + pull), h, True))
+            models.append((at, (s1, d1, r1 + pull), h, m, True))
             continue
         for s, d, c in ((s1, d1, r1 + pull), (s2, d2, r2 - pull)):
             branch = lambda h, s=s, d=d, c=c: (s + d * h + 0.5 * c * h * h, d + c * h, c)  # noqa: E731
-            models.append((branch, (s, d, c), -d / c if c > 0.0 else None, False))
+            h = -d / c if c > 0.0 else None
+            models.append((branch, (s, d, c), h, None if h is None else branch(h)[0], False))
 
     def on_top(value: float, h: float, *own) -> bool:
         return all(value >= at(h)[0] for at, *_ in models if at not in own)
@@ -341,10 +344,10 @@ def _model_step(blocks: list[tuple[float, ...]]) -> tuple[float | None, float | 
         return math.isfinite(h) and (best is None or abs(h) < abs(best))
 
     best = low = None
-    for at, _, h, _ in models:
-        if h is not None and nearer(h) and on_top(value := at(h)[0], h, at):
+    for at, _, h, value, _ in models:
+        if h is not None and nearer(h) and on_top(value, h, at):
             best, low = h, value
-    for (at1, (s1, d1, c1), _, pair1), (at2, (s2, d2, c2), _, pair2) in itertools.combinations(models, 2):
+    for (at1, (s1, d1, c1), _, _, pair1), (at2, (s2, d2, c2), _, _, pair2) in itertools.combinations(models, 2):
         a, b, c = s1 - s2, d1 - d2, 0.5 * (c1 - c2)
         if c == 0.0:
             roots: tuple[float, ...] = (-a / b,) if b != 0.0 else ()
@@ -354,10 +357,11 @@ def _model_step(blocks: list[tuple[float, ...]]) -> tuple[float | None, float | 
         else:
             roots = ()
         for h in filter(nearer, roots):
-            for _ in range(3 if pair1 or pair2 else 0):
-                (v1, e1, _), (v2, e2, _) = at1(h), at2(h)
-                h = h - (v1 - v2) / (e1 - e2) if e1 != e2 else h
             (v1, e1, _), (v2, e2, _) = at1(h), at2(h)
+            for _ in range(3 if pair1 or pair2 else 0):
+                if e1 == e2 or (step := h - (v1 - v2) / (e1 - e2)) == h:
+                    break  # a fixed point: the steps left would repeat this evaluation
+                h, ((v1, e1, _), (v2, e2, _)) = step, (at1(step), at2(step))
             if nearer(h) and e1 * e2 <= 0.0 and on_top(max(v1, v2), h, at1, at2):
                 best, low = h, None
     return best, low
@@ -387,17 +391,18 @@ def _arcs_below(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray, leve
     nu = np.linalg.eigvals(np.linalg.solve(lhs - _SHIFT * rhs, rhs)).reshape(len(c), -1)
     w = 1.0 + _SHIFT * nu  # z = w / nu
     unit = np.abs(np.abs(w) - np.abs(nu)) <= _UNIT * np.abs(nu)
-    count = np.count_nonzero(unit, axis=1)[:, None]
+    count = unit.sum(axis=1)[:, None]
     lo = np.sort(np.where(unit, np.angle(w * nu.conj()), 4.0 * math.pi), axis=1)  # each pair's cuts first
     j = np.arange(lo.shape[1])
-    hi = np.where(j < count - 1, np.roll(lo, -1, axis=1), lo[:, :1] + 2.0 * math.pi)
+    hi = np.where(j < count - 1, np.concatenate((lo[:, 1:], lo[:, :1]), axis=1), lo[:, :1] + 2.0 * math.pi)
     p, j = np.nonzero((j < count) & (hi - lo > _ULPS * np.spacing(np.maximum(np.abs(hi), 1.0))))
     lo, hi = lo[p, j], hi[p, j]
     m = c[p] - np.exp(0.5j * (lo + hi))[:, None, None, None] * d[p]  # the blocks at each midpoint
     # a column at least as long as the level puts sigma_1 above it; the SVD decides the rest
-    below = np.max(np.sum(m.real**2 + m.imag**2, axis=-2), axis=(-2, -1)) < levels[p] ** 2
-    if np.any(below):
-        below[below] = np.linalg.svd(m[below], compute_uv=False)[..., 0].max(axis=-1) < levels[p][below]
+    below = (m.real**2 + m.imag**2).sum(axis=-2).max(axis=(-2, -1)) < levels[p] ** 2
+    if not below.any():
+        return [[] for _ in range(len(c))]
+    below[below] = np.linalg.svd(m[below], compute_uv=False)[..., 0].max(axis=-1) < levels[p][below]
     p, lo, hi = p[below], lo[below], hi[below]
     return [list(zip(lo[p == i].tolist(), hi[p == i].tolist())) for i in range(len(c))]
 
@@ -458,8 +463,9 @@ def _search(x: np.ndarray, y: np.ndarray) -> list[float]:
     matrices, A and B; the distance is min over phi of the largest block's
     ||A_b - e^{i phi} B_b||.  A pair starts at phi0 = arg sum_b tr(B_b^dag A_b),
     and its margin is 4 eps max_b (||A_b||_F + ||B_b||_F).  A round evaluates
-    every phase asked for in stacked calls over all blocks, _STACK_BYTES each.
-    At n >= _SEARCH_THREAD_SIDE _in_halves searches two contiguous groups of
+    every phase asked for in stacked calls over all blocks, _STACK_BYTES each,
+    and certificates wait for a round in which no pair asks for a phase.  At
+    n >= _SEARCH_THREAD_SIDE _in_halves searches two contiguous groups of
     pairs on two threads; a pair's distance does not depend on its batch, bit
     for bit, so the split changes no value.
     """
@@ -467,33 +473,34 @@ def _search(x: np.ndarray, y: np.ndarray) -> list[float]:
 
 
 def _lockstep(x: np.ndarray, y: np.ndarray) -> list[float]:
-    """_search on one thread: a round evaluates every phase asked for, and certifies per number of vectors."""
+    """_search on one thread; once no pair asks for a phase, one _arcs_below call per vector count certifies all."""
     nb, n = x.shape[1], x.shape[-1]
     norms = np.linalg.norm(x, axis=(2, 3)) + np.linalg.norm(y, axis=(2, 3))
-    margins = 4.0 * np.finfo(float).eps * norms.max(axis=1)
+    margins = 4.0 * _EPS * norms.max(axis=1)
     searches = [_phase_search(float(np.angle(np.vdot(b, a))), m) for a, b, m in zip(x, y, margins.tolist())]
     per = max(1, _STACK_BYTES // (16 * n * n))  # blocks per call, one at least
     distances: list[float] = [0.0] * len(x)
     pending = {p: next(search) for p, search in enumerate(searches)}
     while pending:
-        asks = [(p, phi) for p, ask in pending.items() if isinstance(ask, list) for phi in ask]
-        xs, ys = (m[[p for p, _ in asks]].reshape(-1, n, n) for m in (x, y))
-        z = np.repeat(np.exp(1j * np.array([phi for _, phi in asks])), nb)
-        out = [_top_pairs(*(m[k : k + per] for m in (xs, ys, z))) for k in range(0, len(xs), per)]
-        models, us, vs = ([item for o in out for item in o[i]] for i in range(3))
-        # an ask's blocks are consecutive: its models and vectors in one list each
-        replies = ((models[k : k + nb], us[k : k + nb], vs[k : k + nb]) for k in range(0, len(us), nb))
-        certify: dict[int, list[int]] = {}  # number of singular vectors -> the pairs asking for arcs
-        for p, ask in pending.items():
-            if isinstance(ask, tuple):
-                certify.setdefault(ask[0].shape[-1], []).append(p)
-        answers = {}
-        for group in certify.values():
-            u, v, level = (np.array([pending[p][i] for p in group]) for i in range(3))
-            answers.update(zip(group, _arcs_below(x[group], y[group], u, v, level)))
-        for p, ask in list(pending.items()):
+        asks = [(p, ask) for p, ask in pending.items() if type(ask) is list]
+        if asks:
+            rows = [nb * p + b for p, ask in asks for _ in ask for b in range(nb)]  # an ask's blocks are consecutive
+            xs, ys = x.reshape(-1, n, n)[rows], y.reshape(-1, n, n)[rows]
+            z = np.exp(1j * np.array([phi for _, ask in asks for phi in ask])).repeat(nb)
+            out = [_top_pairs(xs[k : k + per], ys[k : k + per], z[k : k + per]) for k in range(0, len(rows), per)]
+            models = [m for o in out for m in o[0]]
+            u, v = (np.concatenate([o[i] for o in out]).reshape(len(rows) // nb, nb, n, -1) for i in (1, 2))
+            evaluations = iter([(models[nb * j : nb * j + nb], u[j], v[j]) for j in range(len(u))])
+            replies = {p: [next(evaluations) for _ in ask] for p, ask in asks}
+        else:  # every pending pair asks for arcs: one certificate per number of singular vectors
+            replies = {}
+            for count in {u.shape[-1] for u, _, _ in pending.values()}:
+                group = [p for p, (u, _, _) in pending.items() if u.shape[-1] == count]
+                u, v, level = (np.array([pending[p][i] for p in group]) for i in range(3))
+                replies.update(zip(group, _arcs_below(x[group], y[group], u, v, level)))
+        for p, reply in replies.items():
             try:
-                pending[p] = searches[p].send(answers[p] if p in answers else [next(replies) for _ in ask])
+                pending[p] = searches[p].send(reply)
             except StopIteration as stop:
                 distances[p] = stop.value
                 del pending[p]
@@ -554,7 +561,7 @@ def phase_aligned_distances(
 
     Pairs are grouped by block shape, and each group is searched in lockstep
     by one _search call, each round one stacked full-SVD call over every pair
-    and block of the group (capped at _STACK_BYTES) and one certificate per
+    and block of the group (capped at _STACK_BYTES), then one certificate per
     number of vectors; numpy's stacked calls are bit-identical per matrix to
     single ones, so a pair's result does not depend on the other pairs.
     """

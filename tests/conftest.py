@@ -49,3 +49,21 @@ def count_thread_starts(monkeypatch, cpus: int | None = None) -> list:
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return started
+
+
+def count_linalg_calls(monkeypatch, *names: str) -> dict[str, list]:
+    """The calls of each named numpy.linalg function from now on, as growing lists of (shape of the first argument, keywords).
+
+    numpy's own calls count too (np.linalg.norm(a, 2) calls svd).
+    """
+    calls: dict[str, list] = {name: [] for name in names}
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _calls=calls[name], **kwargs):
+            _calls.append((np.shape(a), kwargs))
+            return _real(a, *args, **kwargs)
+
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, name, counting)
+    return calls

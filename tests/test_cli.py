@@ -1,7 +1,10 @@
 import csv
+import errno
 import itertools
 import math
 import re
+import stat
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -13,7 +16,7 @@ from jcmagnus.hilbert import HilbertSpec
 from jcmagnus.jc_model import ModelParams
 from jcmagnus.observables import bs_phase_probe, squeezing_report
 from jcmagnus.propagator import error_report, phase_aligned_distances, project_buffer, propagator_bundle
-from conftest import count_thread_starts
+from conftest import count_linalg_calls, count_thread_starts
 
 FAST = ["--fock-dim", "8", "--quad-steps", "256"]
 
@@ -146,6 +149,61 @@ def test_sweep_requires_grid_and_writable_path(tmp_path, capsys):
     assert "grid axis" in capsys.readouterr().err
     assert main(["sweep", "--g-grid", "0.05", *FAST, "--out", str(tmp_path / "nodir" / "x.csv")]) == 2
     assert "output_path" in capsys.readouterr().err
+
+
+def _fail_writes(monkeypatch, where: str) -> None:
+    """Make a sweep fail with ENOSPC: at its third row write, after the header
+    and one row ("rows"), or in the step that puts the finished rows in place
+    ("final"): a write to a file opened for writing, after writing "partial",
+    or the replacement of output_path."""
+
+    def fail(write=None):
+        if write is not None:
+            write("partial")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if where == "rows":
+        real_writer = csv.writer
+
+        def writer(handle):
+            rows, count = real_writer(handle), itertools.count(1)
+            return types.SimpleNamespace(writerow=lambda row: fail(handle.write) if next(count) == 3 else rows.writerow(row))
+
+        monkeypatch.setattr(cli.csv, "writer", writer)
+        return
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            write = handle.write
+            handle.write = handle.writelines = lambda _: fail(write)
+        return handle
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    monkeypatch.setattr(cli.os, "replace", lambda src, dst: fail())
+
+
+@pytest.mark.parametrize("where", ["rows", "final"])
+def test_sweep_write_failure_keeps_the_output(where, tmp_path, monkeypatch, capsys):
+    # a write that fails part-way (a full disk) leaves output_path as it was,
+    # absent or holding its old content, and no temporary file beside it
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--g-grid", "0.02,0.05", *FAST, "--out", str(out)]
+    _fail_writes(monkeypatch, where)
+    for before in (None, "PREVIOUS CONTENT\n"):
+        if before is not None:
+            out.write_text(before)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == ([] if before is None else [out])
+        assert before is None or out.read_text() == before
+    # a sweep that completes replaces the file and keeps its permission bits
+    monkeypatch.undo()
+    out.chmod(0o640)
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[0] == ",".join(SWEEP_FIELDS)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_sweep_row_cap():
@@ -512,43 +570,29 @@ def test_report_and_verify_eigh_calls(monkeypatch, capsys):
     # default verify exponentiates its four bundles (the configured g and the
     # three ERROR_SCALING couplings) in one, and each squeezing readout its
     # one parity block of fock 24 in one
-    calls = []
-    real_eigh = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    calls = count_linalg_calls(monkeypatch, "eigh")["eigh"]
     assert cli.cmd_report(RunConfig()) == 0
-    assert calls == [(8, 12, 12)]
+    assert [shape for shape, _ in calls] == [(8, 12, 12)]
     calls.clear()
     assert cli.cmd_verify(RunConfig()) == 0
     capsys.readouterr()
-    assert calls == [(32, 12, 12), (24, 24), (24, 24)]
+    assert [shape for shape, _ in calls] == [(32, 12, 12), (24, 24), (24, 24)]
 
 
 def test_verify_chain_and_bch_take_one_svd_each(monkeypatch, capsys):
     # ROTATION_CHAIN (||h_full|| and five residuals) and BCH_RESIDUAL (six
     # residual norms) each take one stacked values-only SVD
-    calls, per_check = [], {}
-    real_svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real_svd(*args, **kwargs)
+    calls, per_check = count_linalg_calls(monkeypatch, "svd")["svd"], {}
 
     def counted(name, fn):
         def wrapped(*args):
             before = len(calls)
             result = fn(*args)
-            per_check[name] = calls[before:]
+            per_check[name] = [shape for shape, _ in calls[before:]]
             return result
 
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    monkeypatch.setattr(np.linalg._linalg, "svd", counting)
     monkeypatch.setattr(cli, "_rotation_chain", counted("ROTATION_CHAIN", cli._rotation_chain))
     monkeypatch.setattr(cli, "_bch_residuals", counted("BCH_RESIDUAL", cli._bch_residuals))
     assert cli.cmd_verify(RunConfig()) == 0
@@ -599,22 +643,15 @@ def test_row_lapack_calls(monkeypatch):
     # at the default point a row takes one stacked eigh for its four
     # exponentials and at most 4 SVD calls for its three distances, all full
     # (the pair models and singular vectors of one round each), none
-    # values-only, and one eigvals call per level-set certificate: the three
-    # pairs end their refinements in different rounds
-    calls = {"eigh": [], "svd": [], "eigvals": []}
-    for name in calls:
-        real = getattr(np.linalg, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name].append(kwargs.get("compute_uv", True))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    # values-only, and one eigvals call: the three pairs end their
+    # refinements in different rounds, and one level-set certificate takes
+    # them all once none of them asks for an evaluation
+    calls = count_linalg_calls(monkeypatch, "eigh", "svd", "eigvals")
     cli.compute_row(RunConfig(), 0.8, 0.05, 1.0)
     assert len(calls["eigh"]) == 1
     assert 0 < len(calls["svd"]) <= 4
-    assert all(calls["svd"])
-    assert len(calls["eigvals"]) == 3
+    assert all(kwargs.get("compute_uv", True) for _, kwargs in calls["svd"])
+    assert len(calls["eigvals"]) == 1
 
 
 @pytest.mark.parametrize("fock", [48, 96])
@@ -625,22 +662,15 @@ def test_report_svd_operands_stay_under_the_stack_cap(fock, monkeypatch, capsys)
     # blocks: each eigvals operand is a stack of 4 x 4 pencils, from the two
     # top singular pairs of each of a pair's two blocks, and no values-only
     # SVD is needed
-    shapes = {"svd": [], "values": [], "eigvals": []}
-    real_svd, real_eigvals = np.linalg.svd, np.linalg.eigvals
-
-    def recording_svd(a, *args, **kwargs):
-        shapes["svd" if kwargs.get("compute_uv", True) else "values"].append(np.shape(a))
-        return real_svd(a, *args, **kwargs)
-
-    def recording_eigvals(a):
-        shapes["eigvals"].append(np.shape(a))
-        return real_eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    calls = count_linalg_calls(monkeypatch, "svd", "eigvals")
     cfg = RunConfig(fock_dim=fock)
     assert cli.cmd_report(cfg) == 0
     capsys.readouterr()
+    shapes = {
+        "svd": [shape for shape, kwargs in calls["svd"] if kwargs.get("compute_uv", True)],
+        "values": [shape for shape, kwargs in calls["svd"] if not kwargs.get("compute_uv", True)],
+        "eigvals": [shape for shape, _ in calls["eigvals"]],
+    }
     keep = fock - cfg.buffer
     cap = max(1, propagator._STACK_BYTES // (16 * keep * keep))
     assert shapes["svd"] and all(shape[1:] == (keep, keep) for shape in shapes["svd"])

@@ -20,7 +20,7 @@ from jcmagnus.hilbert import (
 from jcmagnus.hilbert import _hermitian_norm
 from jcmagnus.observables import basis_state
 
-from conftest import commutator, random_antihermitian, random_unitary
+from conftest import commutator, count_linalg_calls, random_antihermitian, random_unitary
 
 
 def test_spec_validation():
@@ -207,14 +207,7 @@ def test_expm_antiherm_frobenius_guard(rng, monkeypatch):
     # generator whose Frobenius norm exceeds the tolerance, and the spectral
     # norm still decides: with G + G^dag = delta I on 16 states the Frobenius
     # norm is 4 delta, the spectral norm delta, and the tolerance 1e-10
-    calls = []
-    real = np.linalg.eigvalsh
-
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    calls = count_linalg_calls(monkeypatch, "eigvalsh")["eigvalsh"]
     g = random_antihermitian(rng, 16)
     g *= 0.5 / spectral_norm(g)
     expm_antiherm(g)

@@ -21,7 +21,7 @@ from jcmagnus.observables import (
 )
 from jcmagnus.propagator import u_exact, u_rwa
 
-from conftest import angle_diff_mod_pi
+from conftest import angle_diff_mod_pi, count_linalg_calls
 
 
 def test_state_vector_validation():
@@ -251,17 +251,10 @@ def test_bs_phase_probe_one_eigh_call(monkeypatch):
     # both propagators are read from one propagator_bundle, whose four
     # generators go in one stacked eigh call, and the phases are the entries
     # of u_exact and u_rwa at |0, g>
-    calls = []
-    real_eigh = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    calls = count_linalg_calls(monkeypatch, "eigh")["eigh"]
     p, spec, t = ModelParams(1.0, 0.9, 0.02), HilbertSpec(12), 20.0
     measured, _ = bs_phase_probe(p, spec, t)
-    assert calls == [(8, 12, 12)]
+    assert [shape for shape, _ in calls] == [(8, 12, 12)]
     idx = spec.index(0, ATOM_GROUND)
     monkeypatch.undo()
     want = np.angle(u_exact(p, spec, t)[idx, idx]) - np.angle(u_rwa(p, spec, t)[idx, idx])

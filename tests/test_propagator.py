@@ -34,7 +34,7 @@ from jcmagnus.propagator import (
     u_rwa,
     unitarity_defect,
 )
-from conftest import commutator, count_thread_starts, random_antihermitian, random_unitary
+from conftest import commutator, count_linalg_calls, count_thread_starts, random_antihermitian, random_unitary
 from oracles import (
     branch_model_step,
     eigenphase_arc_distance,
@@ -538,9 +538,7 @@ def test_phase_alignment_singular_corners(scale):
 def test_zero_distances_form_no_pencil(monkeypatch):
     # identical pairs, globally rotated ones and zero windows end at their
     # first evaluation, at or below the rounding margin, before any pencil
-    calls = []
-    real = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real(a))
+    calls = count_linalg_calls(monkeypatch, "eigvals")["eigvals"]
     u = u_exact(PARAMS, HilbertSpec(8), 1.0)
     haar = random_unitary(np.random.default_rng(3), 9)
     pairs = [(u, u), (u, np.exp(0.83j) * u), (haar, haar), (haar, np.exp(-2.0j) * haar), (0 * u, 0 * u)]
@@ -553,23 +551,72 @@ def test_zero_distances_form_no_pencil(monkeypatch):
 
 def test_error_report_stacks_svd_calls(monkeypatch):
     # the six distances of a row share stacked LAPACK calls, one full SVD
-    # call per round: the one at phi0, then the refinement's.  Each pair's
-    # level-set certificate is one eigvals call, batched with the pairs
-    # that end their refinement in the same round (three calls here), and
-    # the column bound settles every midpoint, so no SVD is values-only
-    calls = {"svd": [], "eigvals": []}
-    for name in calls:
-        real = getattr(np.linalg, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name].append(kwargs.get("compute_uv", True))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    # call per round: the one at phi0, then the refinement's.  The pairs end
+    # their refinements in different rounds, and wait there for one level-set
+    # certificate of all six, one eigvals call; the column bound settles
+    # every midpoint, so no SVD is values-only
+    calls = count_linalg_calls(monkeypatch, "svd", "eigvals")
     error_report(PARAMS, HilbertSpec(12), 1.0)
     assert 0 < len(calls["svd"]) <= 4
-    assert all(calls["svd"])
-    assert len(calls["eigvals"]) == 3
+    assert all(kwargs.get("compute_uv", True) for _, kwargs in calls["svd"])
+    assert len(calls["eigvals"]) == 1
+
+
+def test_sweep_rows_share_one_certificate(monkeypatch):
+    # over the sweep grid of the benchmark (omega0 x g x t at fock 12) the
+    # three distances of a row end their refinements in different rounds and
+    # wait for one _arcs_below call, which finds no arc for any of them
+    calls = []
+    real = propagator._arcs_below
+
+    def record(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(propagator, "_arcs_below", record)
+    spec, ts = HilbertSpec(12), (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0)
+    for w0, g, t in itertools.product((0.8, 0.9, 1.0, 1.1), (0.02, 0.05), ts):
+        calls.clear()
+        block_distances(propagator_bundle(ModelParams(1.0, w0, g), spec, t).blocks, [(0, 1), (0, 2), (0, 3)])
+        assert calls == [[[], [], []]], (w0, g, t)
+
+
+def test_distances_do_not_depend_on_the_batch(monkeypatch):
+    # the default row's three pairs take 2, 3 and 4 evaluations, so they end
+    # their refinements in different rounds and wait for the certificate;
+    # windowed Haar pairs 1266 and 3612 (each window zero-padded to 10 x 10,
+    # twice, for the row's two blocks) go on after it, to the arcs around
+    # their global minima.  Every distance is the same, bit for bit, searched
+    # alone, together, in a 12-pair batch and, at fock 24, on two threads
+    corners = propagator_bundle(PARAMS, HilbertSpec(12), 1.0).blocks[:, :, :10, :10]
+    x, y = list(corners[[0, 0, 0]]), list(corners[[1, 2, 3]])
+    stream = windowed_haar_pairs(4242, 4000)
+    for k in (1266, 3612):
+        u1, u2, proj = stream[k]
+        keep = np.count_nonzero(np.diag(proj))
+        x.append(np.stack([np.pad(u1[:keep, :keep], (0, 10 - keep))] * 2))
+        y.append(np.stack([np.pad(u2[:keep, :keep], (0, 10 - keep))] * 2))
+    x, y = np.stack(x), np.stack(y)
+    seen, alone, evaluations = _count_evaluations(monkeypatch), [], []
+    for p in range(5):
+        seen.clear()
+        alone += propagator._search(x[[p]], y[[p]])
+        evaluations.append(sum(seen) // 2)
+    assert evaluations[:3] == [2, 3, 4] and min(evaluations[3:]) > 4
+    assert propagator._search(x, y) == alone
+    assert propagator._search(x[::-1], y[::-1]) == alone[::-1]
+    batch = [4, 0, 3, 1, 2, 2, 0, 4, 1, 3, 0, 1]
+    assert propagator._search(x[batch], y[batch]) == [alone[p] for p in batch]
+    for p, (k, minimum) in zip((3, 4), ((1266, 1.798217362), (3612, 1.779277765))):
+        want = phase_scan_distance(*stream[k])
+        assert abs(alone[p] - want) <= 1e-12 * want + 1e-15, (k, alone[p], want)
+        assert alone[p] == pytest.approx(minimum, abs=1e-9)
+    blocks = propagator_bundle(PARAMS, HilbertSpec(24), 1.0).blocks
+    corners = blocks[:, :, :22, :22]
+    serial = [propagator._search(corners[[0]], corners[[j]])[0] for j in (1, 2, 3)]
+    started = count_thread_starts(monkeypatch, cpus=2)
+    assert block_distances(blocks, [(0, 1), (0, 2), (0, 3)]) == serial
+    assert len(started) == 1
 
 
 def _count_evaluations(monkeypatch) -> list[int]:
@@ -633,9 +680,9 @@ def test_pair_model_holds_across_an_avoided_crossing():
     [block], _, _ = propagator._top_pairs(x[None], y[None], np.exp(np.array([1j * phi0])))
     s1, d1, r1, s2, _, _, k2 = block
     curv = r1 + 2.0 * k2 / (s1 - s2)
-    at, h_min = propagator._pair_model(*block)
+    at, h_min, m_min = propagator._pair_model(*block)
     assert at(0.0) == pytest.approx((s1, d1, curv), rel=1e-12)
-    assert 0.0 < h_min and curv > 500.0
+    assert 0.0 < h_min and curv > 500.0 and m_min == at(h_min)[0]
     for h in h_min * np.array([-1.0, 0.25, 0.5, 1.0, 2.0, 4.0]):
         sigma = np.linalg.svd(x - np.exp(1j * (phi0 + h)) * y, compute_uv=False)[0]
         taylor = s1 + d1 * h + 0.5 * curv * h * h
