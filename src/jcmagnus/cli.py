@@ -22,6 +22,7 @@ import csv
 import itertools
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -432,24 +433,48 @@ def cmd_sweep(cfg: RunConfig) -> int:
         open(cfg.output_path, "a").close()  # fails on an unwritable path before any row, keeps its content
     except OSError as exc:
         raise ValueError(f"output_path {cfg.output_path!r} is not writable: {exc}") from exc
-    # the rows go to a temporary file that replaces output_path once complete: a sweep that raises leaves it as it was
+    # a regular file is replaced by a complete one written beside it, so a sweep or a write that fails leaves it as it
+    # was; any other output (a device, a FIFO, a file with a second link) gets the finished rows written into it
     target = os.path.realpath(cfg.output_path)
-    rows = tempfile.NamedTemporaryFile("w", newline="", encoding="utf-8", dir=os.path.dirname(target), delete=False)
+    replacement = _replacement_for(target)
+    rows = replacement or tempfile.TemporaryFile("w+", newline="", encoding="utf-8")
     try:
         with rows:
-            os.chmod(rows.name, os.stat(target).st_mode & 0o7777)
             writer = csv.writer(rows)
             writer.writerow(SWEEP_FIELDS)
             for w0, g, t in itertools.product(omega0s, gs, ts):
                 row = compute_row(cfg, w0, g, t)
                 writer.writerow([_fmt(getattr(row, name)) for name in SWEEP_FIELDS])
-        os.replace(rows.name, target)
+            if replacement is None:
+                rows.seek(0)
+                with open(cfg.output_path, "w", newline="", encoding="utf-8") as handle:
+                    handle.writelines(rows)
+        if replacement is not None:
+            os.replace(replacement.name, target)
     except BaseException:
-        os.remove(rows.name)
+        if replacement is not None:
+            os.remove(replacement.name)
         if not existed:
             os.remove(cfg.output_path)
         raise
     return 0
+
+
+def _replacement_for(path: str):
+    """A new text file beside path with its mode, owner and group, or None where path is not a regular file of one
+    link or its directory takes no new file."""
+    info, handle = os.stat(path), None
+    try:
+        if stat.S_ISREG(info.st_mode) and info.st_nlink == 1:
+            handle = tempfile.NamedTemporaryFile("w", newline="", encoding="utf-8", dir=os.path.dirname(path), delete=False)
+            os.chown(handle.name, info.st_uid, info.st_gid)
+            os.chmod(handle.name, stat.S_IMODE(info.st_mode))  # after chown, which clears the set-id bits
+        return handle
+    except OSError:
+        if handle is not None:
+            handle.close()
+            os.remove(handle.name)
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -561,8 +561,9 @@ def phase_aligned_distances(
 
     Pairs are grouped by block shape, and each group is searched in lockstep
     by one _search call, each round one stacked full-SVD call over every pair
-    and block of the group (capped at _STACK_BYTES), then one certificate per
-    number of vectors; numpy's stacked calls are bit-identical per matrix to
+    and block of the group (capped at _STACK_BYTES); once no pair asks for a
+    phase, one certificate per number of vectors covers the group's pairs
+    that ask for one.  numpy's stacked calls are bit-identical per matrix to
     single ones, so a pair's result does not depend on the other pairs.
     """
     groups: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}  # block shape -> (position, blocks)

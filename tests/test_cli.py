@@ -2,9 +2,9 @@ import csv
 import errno
 import itertools
 import math
+import os
 import re
 import stat
-import types
 from dataclasses import fields
 
 import numpy as np
@@ -151,45 +151,20 @@ def test_sweep_requires_grid_and_writable_path(tmp_path, capsys):
     assert "output_path" in capsys.readouterr().err
 
 
-def _fail_writes(monkeypatch, where: str) -> None:
-    """Make a sweep fail with ENOSPC: at its third row write, after the header
-    and one row ("rows"), or in the step that puts the finished rows in place
-    ("final"): a write to a file opened for writing, after writing "partial",
-    or the replacement of output_path."""
+def _raise(exc: OSError):
+    def fail(*args, **kwargs):
+        raise exc
 
-    def fail(write=None):
-        if write is not None:
-            write("partial")
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    if where == "rows":
-        real_writer = csv.writer
-
-        def writer(handle):
-            rows, count = real_writer(handle), itertools.count(1)
-            return types.SimpleNamespace(writerow=lambda row: fail(handle.write) if next(count) == 3 else rows.writerow(row))
-
-        monkeypatch.setattr(cli.csv, "writer", writer)
-        return
-
-    def failing_open(path, mode="r", *args, **kwargs):
-        handle = open(path, mode, *args, **kwargs)
-        if "w" in mode:
-            write = handle.write
-            handle.write = handle.writelines = lambda _: fail(write)
-        return handle
-
-    monkeypatch.setattr(cli, "open", failing_open, raising=False)
-    monkeypatch.setattr(cli.os, "replace", lambda src, dst: fail())
+    return fail
 
 
-@pytest.mark.parametrize("where", ["rows", "final"])
-def test_sweep_write_failure_keeps_the_output(where, tmp_path, monkeypatch, capsys):
-    # a write that fails part-way (a full disk) leaves output_path as it was,
-    # absent or holding its old content, and no temporary file beside it
+def test_sweep_write_failure_keeps_the_output(tmp_path, monkeypatch, capsys):
+    # a sweep whose finished rows cannot be put in place (a full disk) leaves
+    # output_path as it was, absent or holding its old content, and no
+    # temporary file beside it
     out = tmp_path / "s.csv"
     argv = ["sweep", "--g-grid", "0.02,0.05", *FAST, "--out", str(out)]
-    _fail_writes(monkeypatch, where)
+    monkeypatch.setattr(cli.os, "replace", _raise(OSError(errno.ENOSPC, "No space left on device")))
     for before in (None, "PREVIOUS CONTENT\n"):
         if before is not None:
             out.write_text(before)
@@ -204,6 +179,38 @@ def test_sweep_write_failure_keeps_the_output(where, tmp_path, monkeypatch, caps
     assert out.read_text().splitlines()[0] == ",".join(SWEEP_FIELDS)
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "hard link", "unwritable directory"])
+def test_sweep_writes_into_an_output_it_cannot_replace(kind, tmp_path, monkeypatch):
+    # an output that a new file cannot stand in for (a FIFO or a device, a file
+    # with a second link, a file in a directory that takes no new file) gets
+    # the rows written into it: it stays the same file, with the same rows as a
+    # regular output, and no temporary file is left beside it
+    argv = ["sweep", "--g-grid", "0.02,0.05", *FAST, "--out"]
+    want = tmp_path / "want.csv"
+    assert main([*argv, str(want)]) == 0
+    out = tmp_path / "s.csv"
+    if kind == "fifo":
+        os.mkfifo(out)
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)  # the rows wait in the pipe's buffer
+    else:
+        out.write_text("PREVIOUS CONTENT\n")
+        if kind == "hard link":
+            os.link(out, tmp_path / "link.csv")
+        else:
+            monkeypatch.setattr(cli.tempfile, "NamedTemporaryFile", _raise(PermissionError(errno.EACCES, "denied")))
+    inode = out.stat().st_ino
+    assert main([*argv, str(out)]) == 0
+    assert out.stat().st_ino == inode
+    if kind == "fifo":
+        assert stat.S_ISFIFO(out.stat().st_mode)
+        assert os.read(reader, 1 << 16) == want.read_bytes()
+        os.close(reader)
+    else:
+        assert out.read_bytes() == want.read_bytes()
+    names = {"want.csv", "s.csv"} | ({"link.csv"} if kind == "hard link" else set())
+    assert {path.name for path in tmp_path.iterdir()} == names
 
 
 def test_sweep_row_cap():
@@ -284,12 +291,13 @@ def test_overflowing_t_is_an_error_line(tmp_path, capsys, argv, t):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: t = {t} is too large: t**3 overflows a float"]
     # a sweep that fails part-way leaves output_path as it was: absent, or
-    # holding its old content
-    assert not out.exists()
+    # holding its old content, and no temporary file beside it
+    assert list(tmp_path.iterdir()) == []
     out.write_text("old content\n")
     assert main([*argv, *FAST, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == err
     assert out.read_text() == "old content\n"
+    assert list(tmp_path.iterdir()) == [out]  # no temporary file beside it
 
 
 def test_every_config_field_has_a_key_and_a_flag(tmp_path):
